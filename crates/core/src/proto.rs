@@ -8,6 +8,12 @@
 //!   through the decoupled memory/SSD pipeline (Section V-B1);
 //! - per-request [`StageTimes`] in every response, which is how the
 //!   time-wise breakdowns of Figures 2 and 6 are measured.
+//!
+//! Decoding is zero-copy: every `Bytes` field of a decoded message (keys,
+//! values, batch members) is a view into the frame it came from and keeps
+//! that whole allocation alive. Holders that live no longer than the
+//! request may keep such views; anything kept past the request (an index,
+//! a per-key map) must copy the bytes it needs.
 
 use bytes::{BufMut, Bytes, BytesMut};
 use std::fmt;
@@ -540,7 +546,8 @@ impl Request {
         }
     }
 
-    /// Decode from wire bytes (zero-copy: key/value alias `buf`).
+    /// Decode from wire bytes (zero-copy: key/value alias `buf` and pin
+    /// all of it; copy a key before keeping it past the request).
     pub fn decode(buf: &Bytes) -> Result<Request, ProtoError> {
         let mut r = Reader::new(buf);
         let opcode = r.u8()?;
@@ -885,7 +892,7 @@ impl Response {
         }
     }
 
-    /// Decode from wire bytes.
+    /// Decode from wire bytes (zero-copy, like [`Request::decode`]).
     pub fn decode(buf: &Bytes) -> Result<Response, ProtoError> {
         let mut r = Reader::new(buf);
         let opcode = r.u8()?;
@@ -1083,7 +1090,8 @@ impl fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-/// Cursor over a `Bytes` buffer with zero-copy `take`.
+/// Cursor over a `Bytes` buffer with zero-copy `take`: each taken field
+/// shares (and keeps alive) the frame's allocation.
 struct Reader<'a> {
     buf: &'a Bytes,
     pos: usize,

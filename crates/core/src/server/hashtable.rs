@@ -3,8 +3,11 @@
 //! Mirrors memcached's primary hash table: power-of-two bucket array,
 //! separate chaining, doubling growth. Entries live in a slab `Vec` with a
 //! free list so chain links are indices, not pointers.
-
-use bytes::Bytes;
+//!
+//! The table owns its key bytes: a new entry copies the key it is given.
+//! Keys decoded off the wire are zero-copy views of their request frame,
+//! so keeping such a view would pin the whole frame (value included) for
+//! as long as the key stays indexed.
 
 use crate::util::fnv1a;
 
@@ -15,7 +18,7 @@ const LOAD_DEN: usize = 2;
 
 struct Entry<V> {
     hash: u64,
-    key: Bytes,
+    key: Box<[u8]>,
     value: V,
     next: Option<usize>,
 }
@@ -59,15 +62,16 @@ impl<V> HashTable<V> {
         (hash as usize) & (self.buckets.len() - 1)
     }
 
-    /// Insert or replace; returns the previous value for the key.
-    pub fn insert(&mut self, key: Bytes, value: V) -> Option<V> {
-        let hash = fnv1a(&key);
+    /// Insert or replace; returns the previous value for the key. Only a
+    /// new entry copies `key`; a replacement keeps the stored key.
+    pub fn insert(&mut self, key: &[u8], value: V) -> Option<V> {
+        let hash = fnv1a(key);
         let b = self.bucket_of(hash);
         // Replace in place if present.
         let mut cur = self.buckets[b];
         while let Some(idx) = cur {
             let e = self.entries[idx].as_mut().expect("live chain entry");
-            if e.hash == hash && e.key == key {
+            if e.hash == hash && *e.key == *key {
                 return Some(std::mem::replace(&mut e.value, value));
             }
             cur = e.next;
@@ -75,7 +79,7 @@ impl<V> HashTable<V> {
         // New entry at chain head.
         let entry = Entry {
             hash,
-            key,
+            key: key.into(),
             value,
             next: self.buckets[b],
         };
@@ -103,7 +107,7 @@ impl<V> HashTable<V> {
         let mut cur = self.buckets[self.bucket_of(hash)];
         while let Some(idx) = cur {
             let e = self.entries[idx].as_ref().expect("live chain entry");
-            if e.hash == hash && e.key == key {
+            if e.hash == hash && *e.key == *key {
                 return Some(&e.value);
             }
             cur = e.next;
@@ -120,7 +124,7 @@ impl<V> HashTable<V> {
             // Split borrow: read link first.
             let (h, k_eq, next) = {
                 let e = self.entries[idx].as_ref().expect("live chain entry");
-                (e.hash, e.key == key, e.next)
+                (e.hash, *e.key == *key, e.next)
             };
             if h == hash && k_eq {
                 return self.entries[idx].as_mut().map(|e| &mut e.value);
@@ -139,7 +143,7 @@ impl<V> HashTable<V> {
         while let Some(idx) = cur {
             let (matches, next) = {
                 let e = self.entries[idx].as_ref().expect("live chain entry");
-                (e.hash == hash && e.key == key, e.next)
+                (e.hash == hash && *e.key == *key, e.next)
             };
             if matches {
                 match prev {
@@ -158,10 +162,10 @@ impl<V> HashTable<V> {
     }
 
     /// Iterate `(key, value)` pairs in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Bytes, &V)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&[u8], &V)> {
         self.entries
             .iter()
-            .filter_map(|e| e.as_ref().map(|e| (&e.key, &e.value)))
+            .filter_map(|e| e.as_ref().map(|e| (&e.key[..], &e.value)))
     }
 
     fn grow(&mut self) {
@@ -184,14 +188,14 @@ impl<V> HashTable<V> {
 mod tests {
     use super::*;
 
-    fn key(i: u32) -> Bytes {
-        Bytes::from(format!("key-{i:08}"))
+    fn key(i: u32) -> Vec<u8> {
+        format!("key-{i:08}").into_bytes()
     }
 
     #[test]
     fn insert_get_remove() {
         let mut t = HashTable::new();
-        assert!(t.insert(key(1), 10).is_none());
+        assert!(t.insert(&key(1), 10).is_none());
         assert_eq!(t.get(&key(1)), Some(&10));
         assert_eq!(t.remove(&key(1)), Some(10));
         assert_eq!(t.get(&key(1)), None);
@@ -201,8 +205,8 @@ mod tests {
     #[test]
     fn insert_replaces_and_returns_old() {
         let mut t = HashTable::new();
-        t.insert(key(5), "a");
-        assert_eq!(t.insert(key(5), "b"), Some("a"));
+        t.insert(&key(5), "a");
+        assert_eq!(t.insert(&key(5), "b"), Some("a"));
         assert_eq!(t.len(), 1);
         assert_eq!(t.get(&key(5)), Some(&"b"));
     }
@@ -210,7 +214,7 @@ mod tests {
     #[test]
     fn get_mut_mutates_in_place() {
         let mut t = HashTable::new();
-        t.insert(key(1), 1);
+        t.insert(&key(1), 1);
         *t.get_mut(&key(1)).unwrap() += 41;
         assert_eq!(t.get(&key(1)), Some(&42));
         assert!(t.get_mut(b"absent").is_none());
@@ -220,7 +224,7 @@ mod tests {
     fn grows_past_initial_capacity() {
         let mut t = HashTable::new();
         for i in 0..10_000u32 {
-            t.insert(key(i), i);
+            t.insert(&key(i), i);
         }
         assert_eq!(t.len(), 10_000);
         for i in 0..10_000u32 {
@@ -232,7 +236,7 @@ mod tests {
     fn removal_keeps_chains_intact() {
         let mut t = HashTable::new();
         for i in 0..1000u32 {
-            t.insert(key(i), i);
+            t.insert(&key(i), i);
         }
         for i in (0..1000).step_by(3) {
             assert_eq!(t.remove(&key(i)), Some(i));
@@ -247,14 +251,14 @@ mod tests {
     fn slots_are_reused_after_removal() {
         let mut t = HashTable::new();
         for i in 0..100u32 {
-            t.insert(key(i), i);
+            t.insert(&key(i), i);
         }
         for i in 0..100u32 {
             t.remove(&key(i));
         }
         let slots_before = t.entries.len();
         for i in 100..200u32 {
-            t.insert(key(i), i);
+            t.insert(&key(i), i);
         }
         assert_eq!(t.entries.len(), slots_before, "free list should recycle");
     }
@@ -263,7 +267,7 @@ mod tests {
     fn iter_sees_all_live_entries() {
         let mut t = HashTable::new();
         for i in 0..50u32 {
-            t.insert(key(i), i);
+            t.insert(&key(i), i);
         }
         t.remove(&key(7));
         let mut seen: Vec<u32> = t.iter().map(|(_, v)| *v).collect();
@@ -275,7 +279,7 @@ mod tests {
     #[test]
     fn empty_key_is_a_valid_key() {
         let mut t = HashTable::new();
-        t.insert(Bytes::new(), 1);
+        t.insert(b"", 1);
         assert_eq!(t.get(b""), Some(&1));
         assert_eq!(t.remove(b""), Some(1));
     }

@@ -169,7 +169,7 @@ proptest! {
             let key = format!("k{k}").into_bytes();
             match op {
                 0 => {
-                    let a = ours.insert(Bytes::from(key.clone()), v);
+                    let a = ours.insert(&key, v);
                     let b = reference.insert(key, v);
                     prop_assert_eq!(a, b);
                 }

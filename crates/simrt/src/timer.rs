@@ -5,14 +5,21 @@ use std::pin::Pin;
 use std::task::{Context, Poll};
 use std::time::Duration;
 
-use crate::executor::Sim;
+use crate::executor::{Sim, TimerHandle};
 use crate::time::SimTime;
 
 /// Future returned by [`Sim::sleep`] / [`Sim::sleep_until`].
+///
+/// The first pending poll registers a timer; dropping the `Sleep` before
+/// its deadline cancels that timer, so an abandoned deadline (e.g. the
+/// losing side of a [`timeout`](crate::timeout)) neither stays in the timer
+/// heap nor moves the clock. A timer whose deadline is the current instant
+/// is already due and is left to fire in that instant, as every due timer
+/// does.
 pub struct Sleep {
     sim: Sim,
     deadline: SimTime,
-    registered: bool,
+    timer: Option<TimerHandle>,
 }
 
 impl Future for Sleep {
@@ -22,12 +29,21 @@ impl Future for Sleep {
         if self.sim.now() >= self.deadline {
             return Poll::Ready(());
         }
-        if !self.registered {
-            self.registered = true;
+        if self.timer.is_none() {
             let deadline = self.deadline;
-            self.sim.register_timer(deadline, cx.waker().clone());
+            self.timer = Some(self.sim.register_timer(deadline, cx.waker().clone()));
         }
         Poll::Pending
+    }
+}
+
+impl Drop for Sleep {
+    fn drop(&mut self) {
+        if let Some(timer) = self.timer.take() {
+            if self.sim.now() < self.deadline {
+                self.sim.cancel_timer(timer);
+            }
+        }
     }
 }
 
@@ -45,7 +61,7 @@ impl Sim {
         Sleep {
             sim: self.clone(),
             deadline,
-            registered: false,
+            timer: None,
         }
     }
 }
