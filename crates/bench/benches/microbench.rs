@@ -1,8 +1,12 @@
 //! Real-time microbenchmarks of the substrate data structures: these
 //! measure how fast the *simulator itself* runs (wall-clock), complementing
 //! the virtual-time figure harnesses.
+//!
+//! `cargo bench -p nbkv-bench --bench microbench` prints one line per
+//! benchmark: mean wall-clock ns per iteration.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use nbkv_core::client::Ring;
@@ -14,69 +18,79 @@ use nbkv_workload::Zipf;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn bench_executor(c: &mut Criterion) {
-    let mut g = c.benchmark_group("simrt");
-    g.bench_function("spawn_and_run_1000_tasks", |b| {
-        b.iter(|| {
-            let sim = Sim::new();
-            for i in 0..1000u64 {
-                let s = sim.clone();
-                sim.spawn(async move {
-                    s.sleep(std::time::Duration::from_nanos(i % 97)).await;
-                });
-            }
-            sim.run();
-            black_box(sim.stats().timer_events)
-        })
-    });
-    g.bench_function("timer_heap_10k_events", |b| {
-        b.iter(|| {
-            let sim = Sim::new();
-            for i in 0..10_000u64 {
-                sim.schedule_in(std::time::Duration::from_nanos(i * 7 % 1013), |_| {});
-            }
-            sim.run();
-        })
-    });
-    g.finish();
-}
+/// Each benchmark doubles its iteration count until one timed batch takes
+/// at least this long.
+const MIN_BATCH: Duration = Duration::from_millis(20);
 
-fn bench_slab(c: &mut Criterion) {
-    let mut g = c.benchmark_group("slab");
-    g.bench_function("alloc_write_free_cycle", |b| {
-        let mut pool = SlabPool::new(SlabConfig::with_mem(8 << 20));
-        let class = pool.class_for(1024).expect("class");
-        b.iter(|| {
-            let id = pool.try_alloc(class).expect("alloc");
-            pool.write_item(id, b"bench-key", &[7u8; 900], 0, 0);
-            pool.free_chunk(id);
-            black_box(id)
-        })
-    });
-    g.finish();
-}
-
-fn bench_lru(c: &mut Criterion) {
-    let mut g = c.benchmark_group("lru");
-    g.throughput(Throughput::Elements(1));
-    g.bench_function("insert_touch_pop", |b| {
-        let mut lru: LruMap<u64, ()> = LruMap::new();
-        for i in 0..10_000u64 {
-            lru.insert(i, ());
+/// Time `f` and print its mean ns per iteration.
+fn bench<T>(label: &str, mut f: impl FnMut() -> T) {
+    // Warm-up.
+    for _ in 0..2 {
+        black_box(f());
+    }
+    let mut iters = 1u64;
+    loop {
+        let start = Instant::now();
+        for _ in 0..iters {
+            black_box(f());
         }
-        let mut i = 10_000u64;
-        b.iter(|| {
-            lru.insert(i, ());
-            lru.touch(&(i / 2));
-            lru.pop_lru();
-            i += 1;
-        })
-    });
-    g.finish();
+        let took = start.elapsed();
+        if took >= MIN_BATCH {
+            let mean = took.as_nanos() / u128::from(iters);
+            println!("bench {label}: {mean} ns/iter ({iters} iters)");
+            return;
+        }
+        iters *= 2;
+    }
 }
 
-fn bench_proto(c: &mut Criterion) {
-    let mut g = c.benchmark_group("proto");
+fn bench_executor() {
+    bench("simrt/spawn_and_run_1000_tasks", || {
+        let sim = Sim::new();
+        for i in 0..1000u64 {
+            let s = sim.clone();
+            sim.spawn(async move {
+                s.sleep(Duration::from_nanos(i % 97)).await;
+            });
+        }
+        sim.run();
+        sim.stats().timer_events
+    });
+    bench("simrt/timer_heap_10k_events", || {
+        let sim = Sim::new();
+        for i in 0..10_000u64 {
+            sim.schedule_in(Duration::from_nanos(i * 7 % 1013), |_| {});
+        }
+        sim.run();
+    });
+}
+
+fn bench_slab() {
+    let mut pool = SlabPool::new(SlabConfig::with_mem(8 << 20));
+    let class = pool.class_for(1024).expect("class");
+    bench("slab/alloc_write_free_cycle", || {
+        let id = pool.try_alloc(class).expect("alloc");
+        pool.write_item(id, b"bench-key", &[7u8; 900], 0, 0);
+        pool.free_chunk(id);
+        id
+    });
+}
+
+fn bench_lru() {
+    let mut lru: LruMap<u64, ()> = LruMap::new();
+    for i in 0..10_000u64 {
+        lru.insert(i, ());
+    }
+    let mut i = 10_000u64;
+    bench("lru/insert_touch_pop", || {
+        lru.insert(i, ());
+        lru.touch(&(i / 2));
+        lru.pop_lru();
+        i += 1;
+    });
+}
+
+fn bench_proto() {
     for size in [64usize, 4 << 10, 32 << 10] {
         let req = Request::Set {
             req_id: 42,
@@ -87,13 +101,10 @@ fn bench_proto(c: &mut Criterion) {
             key: Bytes::from_static(b"bench-key-000001"),
             value: Bytes::from(vec![9u8; size]),
         };
-        g.throughput(Throughput::Bytes(size as u64));
-        g.bench_with_input(BenchmarkId::new("set_encode", size), &req, |b, req| {
-            b.iter(|| black_box(req.encode()))
-        });
+        bench(&format!("proto/set_encode/{size}"), || req.encode());
         let wire = req.encode();
-        g.bench_with_input(BenchmarkId::new("set_decode", size), &wire, |b, wire| {
-            b.iter(|| black_box(Request::decode(wire).expect("decode")))
+        bench(&format!("proto/set_decode/{size}"), || {
+            Request::decode(&wire).expect("decode")
         });
         let resp = Response::Get {
             req_id: 42,
@@ -103,41 +114,28 @@ fn bench_proto(c: &mut Criterion) {
             cas: 1,
             value: Some(Bytes::from(vec![9u8; size])),
         };
-        g.bench_with_input(
-            BenchmarkId::new("get_resp_roundtrip", size),
-            &resp,
-            |b, resp| {
-                b.iter(|| {
-                    let wire = resp.encode();
-                    black_box(Response::decode(&wire).expect("decode"))
-                })
-            },
-        );
+        bench(&format!("proto/get_resp_roundtrip/{size}"), || {
+            Response::decode(&resp.encode()).expect("decode")
+        });
     }
-    g.finish();
 }
 
-fn bench_workload_gen(c: &mut Criterion) {
-    let mut g = c.benchmark_group("workload");
+fn bench_workload_gen() {
     let zipf = Zipf::new(100_000, 0.99);
     let mut rng = StdRng::seed_from_u64(3);
-    g.bench_function("zipf_sample_100k_ranks", |b| {
-        b.iter(|| black_box(zipf.sample(&mut rng)))
-    });
+    bench("workload/zipf_sample_100k_ranks", || zipf.sample(&mut rng));
     let ring = Ring::new(16);
-    g.bench_function("ring_select_16_servers", |b| {
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            black_box(ring.select(format!("user{i:012}").as_bytes()))
-        })
+    let mut i = 0u64;
+    bench("workload/ring_select_16_servers", || {
+        i += 1;
+        ring.select(format!("user{i:012}").as_bytes())
     });
-    g.finish();
 }
 
-criterion_group!(
-    name = benches;
-    config = Criterion::default().sample_size(20);
-    targets = bench_executor, bench_slab, bench_lru, bench_proto, bench_workload_gen
-);
-criterion_main!(benches);
+fn main() {
+    bench_executor();
+    bench_slab();
+    bench_lru();
+    bench_proto();
+    bench_workload_gen();
+}

@@ -2,8 +2,10 @@
 
 use std::fmt::Write as _;
 
+use nbkv_obs::json::JsonCodec;
+
 /// A printable/serializable experiment result table.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Experiment id, e.g. "fig6b".
     pub id: String,
@@ -16,6 +18,14 @@ pub struct Table {
     /// Free-form notes (expected paper shape, scale used, ...).
     pub notes: Vec<String>,
 }
+
+nbkv_obs::json_codec!(Table {
+    id,
+    title,
+    headers,
+    rows,
+    notes,
+});
 
 impl Table {
     /// New empty table.
@@ -84,9 +94,9 @@ impl Table {
         let dir = crate::manifest::results_dir();
         if std::fs::create_dir_all(&dir).is_ok() {
             let path = dir.join(format!("{}.json", self.id));
-            if let Ok(json) = serde_json::to_string_pretty(self) {
-                let _ = std::fs::write(path, json);
-            }
+            // The committed goldens end without a trailing newline.
+            let json = self.to_json_value().render_pretty();
+            let _ = std::fs::write(path, json.trim_end_matches('\n'));
         }
     }
 }

@@ -345,10 +345,9 @@ fn build_completion(s: &ReqState) -> Completion {
             completed_at,
         },
         // The progress task fans batch frames out into member responses
-        // before completing any op; a frame never lands on an op's state.
+        // and drops replication acks as orphans, so neither kind ever
+        // lands on an op's state.
         Response::Batch { .. } => unreachable!("batch frames are fanned out per member"),
-        // Replication acks flow on server-to-server links only; clients
-        // never issue `Request::Replicate`.
-        Response::ReplAck { .. } => unreachable!("replication acks never reach client ops"),
+        Response::ReplAck { .. } => unreachable!("the progress task drops replication acks"),
     }
 }

@@ -31,6 +31,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use nbkv_fabric::{MrCache, QueuePair, Transport, TransportRx, TransportTx};
+use nbkv_obs::json::JsonCodec;
 use nbkv_simrt::Sim;
 
 use crate::client::batch::{BatchPolicy, Batcher};
@@ -699,7 +700,10 @@ impl Client {
         // A fault plan can truncate or corrupt the payload in flight;
         // surface that as an error instead of killing the whole sim.
         let payload = done.value.ok_or(ClientError::BadResponse)?;
-        serde_json::from_slice(&payload).map_err(|_| ClientError::BadResponse)
+        std::str::from_utf8(&payload)
+            .ok()
+            .and_then(|text| crate::server::StatsSnapshot::from_json_str(text).ok())
+            .ok_or(ClientError::BadResponse)
     }
 
     /// Batch get: issue non-blocking gets for every key, ring the batching
@@ -1373,6 +1377,14 @@ impl ProgressTask {
     /// buffer (iget semantics), match it to its pending op, and release
     /// the op's share of the carrying frame's window slot.
     async fn complete_one(&self, resp: Response) {
+        // No client request produces a replication ack, so one must not
+        // land on a pending op whatever its `req_id`: it is an orphan.
+        // (Batch frames never get here: `run` fans them out, and decode
+        // rejects nested ones.)
+        if matches!(resp, Response::ReplAck { .. }) {
+            self.stats.borrow_mut().orphans += 1;
+            return;
+        }
         if let Response::Get { value: Some(v), .. } = &resp {
             let cost = self.costs.memcpy(v.len());
             if !cost.is_zero() {

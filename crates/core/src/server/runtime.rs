@@ -21,6 +21,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use nbkv_fabric::{FabricProfile, Transport, TransportTx, FRAME_OVERHEAD};
+use nbkv_obs::json::JsonCodec;
 use nbkv_simrt::{Semaphore, Sim, SimTime};
 use nbkv_storesim::SlabIo;
 
@@ -87,7 +88,7 @@ impl ServerConfig {
 }
 
 /// Server counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerStats {
     /// Requests received (member ops of a batch frame each count once).
     pub requests: u64,
@@ -116,9 +117,23 @@ pub struct ServerStats {
     pub repl_retrans: u64,
 }
 
+nbkv_obs::json_codec!(ServerStats {
+    requests,
+    inline_handled,
+    staged,
+    responses,
+    proto_errors,
+    recv_during_flush,
+    batches,
+    batch_ops,
+    repl_sent,
+    repl_acked,
+    repl_retrans,
+});
+
 /// Full server observability snapshot, served over the wire by the
 /// `stats` operation (like memcached's `stats` command).
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Request-pipeline counters.
     pub server: ServerStats,
@@ -127,6 +142,12 @@ pub struct StatsSnapshot {
     /// Slab-pool occupancy.
     pub slab: crate::server::slab::SlabStats,
 }
+
+nbkv_obs::json_codec!(StatsSnapshot {
+    server,
+    store,
+    slab,
+});
 
 struct Staged {
     req: Request,
@@ -872,7 +893,7 @@ impl Server {
                 }
             }
             Request::Stats { req_id, .. } => {
-                let json = serde_json::to_vec(&self.snapshot()).expect("stats serialize");
+                let json = self.snapshot().to_json_value().render_compact();
                 let len = json.len();
                 let out = crate::server::store::OpOutcome {
                     status: crate::proto::OpStatus::Hit,

@@ -109,7 +109,7 @@ struct Page {
 }
 
 /// Pool counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SlabStats {
     /// Pages currently assigned to classes.
     pub pages_in_use: usize,
@@ -120,6 +120,13 @@ pub struct SlabStats {
     /// Live items across all pages.
     pub live_items: u64,
 }
+
+nbkv_obs::json_codec!(SlabStats {
+    pages_in_use,
+    pages_free,
+    pages_budget,
+    live_items,
+});
 
 /// The slab pool: page budget, classes, and chunk storage.
 pub struct SlabPool {

@@ -206,7 +206,7 @@ impl OpOutcome {
 }
 
 /// Store counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Successful sets.
     pub sets: u64,
@@ -257,6 +257,31 @@ pub struct StoreStats {
     /// retransmit; dropping prevents stale-value resurrection).
     pub repl_stale_drops: u64,
 }
+
+nbkv_obs::json_codec!(StoreStats {
+    sets,
+    get_hits_ram,
+    get_hits_ssd,
+    get_misses,
+    expired,
+    deletes,
+    flushed_pages,
+    evicted_items,
+    ssd_full_drops,
+    promotes,
+    async_flushes,
+    inflight_hits,
+    ssd_dead_bytes,
+    ssd_reclaimed_extents,
+    ssd_reclaimed_bytes,
+    set_errors,
+    get_io_errors,
+    flush_errors,
+    crashes,
+    recovered_items,
+    repl_applied,
+    repl_stale_drops,
+});
 
 /// One logical write for the replication engine to propagate: the full
 /// new state of a key (or its deletion) plus the per-key sequence number
@@ -1752,34 +1777,50 @@ mod tests {
         });
     }
 
+    /// Preload 120 x 64 KiB items into 2 MiB of RAM on a SATA device under
+    /// `policy`, read every item back, and return the preload's virtual
+    /// time in ns.
+    fn preload_time(policy: IoPolicy) -> u64 {
+        let sim = Sim::new();
+        let sim2 = sim.clone();
+        let mut cfg = StoreConfig::hybrid(2 << 20, 1 << 30);
+        cfg.io_policy = policy;
+        cfg.costs = CpuCosts::zero();
+        let dev = SsdDevice::new(&sim, sata_ssd());
+        let ssd = SlabIo::new(
+            &sim,
+            dev,
+            SlabIoConfig::default_for_tests(HostModel::default_host()),
+        );
+        let store = HybridStore::new(&sim, cfg, Some(ssd));
+        sim.run_until(async move {
+            for i in 0..120 {
+                store.set(key(i), val(i, 64 << 10), 0, 0).await;
+            }
+            let preload = sim2.now().as_nanos();
+            for i in 0..120 {
+                let out = store.get(&key(i)).await;
+                assert_eq!(out.value, Some(val(i, 64 << 10)), "{policy:?}: key {i}");
+            }
+            preload
+        })
+    }
+
+    /// The slab I/O ablation: every scheme serves its evicted items back
+    /// intact, and the buffered, mmap and adaptive schemes all flush
+    /// faster than synchronous direct I/O.
     #[test]
     fn adaptive_policy_flushes_much_faster_than_direct() {
-        fn preload_time(policy: IoPolicy) -> u64 {
-            let sim = Sim::new();
-            let sim2 = sim.clone();
-            let mut cfg = StoreConfig::hybrid(2 << 20, 1 << 30);
-            cfg.io_policy = policy;
-            cfg.costs = CpuCosts::zero();
-            let dev = SsdDevice::new(&sim, sata_ssd());
-            let ssd = SlabIo::new(
-                &sim,
-                dev,
-                SlabIoConfig::default_for_tests(HostModel::default_host()),
-            );
-            let store = HybridStore::new(&sim, cfg, Some(ssd));
-            sim.run_until(async move {
-                for i in 0..120 {
-                    store.set(key(i), val(i, 64 << 10), 0, 0).await;
-                }
-                sim2.now().as_nanos()
-            })
-        }
         let direct = preload_time(IoPolicy::Direct);
         let adaptive = preload_time(IoPolicy::adaptive_default());
         assert!(
             direct > adaptive * 3,
             "direct {direct}ns should be >> adaptive {adaptive}ns"
         );
+        for policy in [IoPolicy::Cached, IoPolicy::Mmap] {
+            let took = preload_time(policy);
+            assert!(took < direct, "{policy:?} took {took}ns, direct {direct}ns");
+        }
     }
 
     #[test]

@@ -8,8 +8,12 @@ use bytes::Bytes;
 use nbkv_core::cluster::{build_cluster, ClusterConfig};
 use nbkv_core::designs::Design;
 use nbkv_core::proto::{ApiFlavor, OpStatus, Request, Response, StageTimes};
+use nbkv_core::server::slab::SlabStats;
+use nbkv_core::server::store::StoreStats;
+use nbkv_core::server::{ServerStats, StatsSnapshot};
 use nbkv_core::{BatchPolicy, Client, ClientConfig, ClientError};
 use nbkv_fabric::Fabric;
+use nbkv_obs::json::JsonCodec;
 use nbkv_simrt::Sim;
 
 fn key(i: usize) -> Bytes {
@@ -171,40 +175,182 @@ fn window_hwm_never_exceeds_max_outstanding() {
     }
 }
 
-/// Regression: `server_stats` against a server that answers with a
-/// malformed payload returns `ClientError::BadResponse` instead of
-/// panicking (it used to `expect` the payload).
-#[test]
-fn server_stats_malformed_payload_is_an_error() {
-    for garbage in [Some(Bytes::from_static(b"not json")), None] {
-        let sim = Sim::new();
-        let fabric = Fabric::new(&sim, nbkv_fabric::profiles::fdr_rdma());
-        let (client_side, server_side) = fabric.connect();
-        let (tx, rx) = server_side.split();
-        let garbage2 = garbage.clone();
-        sim.spawn(async move {
-            while let Some(frame) = rx.recv().await {
-                let req = Request::decode(&frame).expect("client sends valid frames");
-                let resp = Response::Get {
-                    req_id: req.req_id(),
-                    status: OpStatus::Hit,
-                    stages: StageTimes::default(),
-                    flags: 0,
-                    cas: 0,
-                    value: garbage2.clone(),
-                };
+/// A client whose one connection leads to a fake server: every request
+/// frame is answered with the responses `reply` builds for it, in order.
+fn client_of_fake_server(
+    sim: &Sim,
+    reply: impl Fn(&Request) -> Vec<Response> + 'static,
+) -> Rc<Client> {
+    let fabric = Fabric::new(sim, nbkv_fabric::profiles::fdr_rdma());
+    let (client_side, server_side) = fabric.connect();
+    let (tx, rx) = server_side.split();
+    sim.spawn(async move {
+        while let Some(frame) = rx.recv().await {
+            let req = Request::decode(&frame).expect("client sends valid frames");
+            for resp in reply(&req) {
                 if tx.send(resp.encode()).await.is_err() {
-                    break;
+                    return;
                 }
             }
-        });
-        let client = Client::new(&sim, vec![client_side], ClientConfig::default());
+        }
+    });
+    Client::new(sim, vec![client_side], ClientConfig::default())
+}
+
+/// A `Get` hit answering `req` with `value` as its payload.
+fn get_hit(req: &Request, value: Option<Bytes>) -> Response {
+    Response::Get {
+        req_id: req.req_id(),
+        status: OpStatus::Hit,
+        stages: StageTimes::default(),
+        flags: 0,
+        cas: 0,
+        value,
+    }
+}
+
+/// Regression: `server_stats` against a server that answers with a
+/// malformed payload returns `ClientError::BadResponse` instead of
+/// panicking (it used to `expect` the payload). A payload that is JSON but
+/// lacks a field, or has a mistyped one, is malformed too.
+#[test]
+fn server_stats_malformed_payload_is_an_error() {
+    let full = StatsSnapshot {
+        server: ServerStats::default(),
+        store: StoreStats::default(),
+        slab: SlabStats::default(),
+    }
+    .to_json_value()
+    .render_compact();
+    for garbage in [
+        Some(Bytes::from_static(b"not json")),
+        None,
+        Some(Bytes::from(full.replace(r#""crashes":0,"#, ""))),
+        Some(Bytes::from(
+            full.replace(r#""pages_free":0"#, r#""pages_free":"0""#),
+        )),
+        Some(Bytes::from(
+            full.replace(r#""requests":0"#, r#""requests":-1"#),
+        )),
+    ] {
+        let sim = Sim::new();
+        let client = client_of_fake_server(&sim, move |req| vec![get_hit(req, garbage.clone())]);
         sim.run_until(async move {
             let err = client.server_stats(0).await.unwrap_err();
             assert_eq!(err, ClientError::BadResponse);
         });
         sim.shutdown();
     }
+}
+
+/// The `stats` payload format is pinned (its length is charged as
+/// transmit time, so it must not drift), and every field survives
+/// encode -> wire -> `server_stats` decode. The snapshot below gives each
+/// field a distinct value, so a field the codec drops, renames or swaps
+/// with another fails the comparison.
+#[test]
+fn server_stats_round_trips_every_field() {
+    let empty = StatsSnapshot {
+        server: ServerStats::default(),
+        store: StoreStats::default(),
+        slab: SlabStats::default(),
+    };
+    assert_eq!(
+        empty.to_json_value().render_compact(),
+        concat!(
+            r#"{"server":{"requests":0,"inline_handled":0,"staged":0,"responses":0,"#,
+            r#""proto_errors":0,"recv_during_flush":0,"batches":0,"batch_ops":0,"#,
+            r#""repl_sent":0,"repl_acked":0,"repl_retrans":0},"#,
+            r#""store":{"sets":0,"get_hits_ram":0,"get_hits_ssd":0,"get_misses":0,"#,
+            r#""expired":0,"deletes":0,"flushed_pages":0,"evicted_items":0,"#,
+            r#""ssd_full_drops":0,"promotes":0,"async_flushes":0,"inflight_hits":0,"#,
+            r#""ssd_dead_bytes":0,"ssd_reclaimed_extents":0,"ssd_reclaimed_bytes":0,"#,
+            r#""set_errors":0,"get_io_errors":0,"flush_errors":0,"crashes":0,"#,
+            r#""recovered_items":0,"repl_applied":0,"repl_stale_drops":0},"#,
+            r#""slab":{"pages_in_use":0,"pages_free":0,"pages_budget":0,"live_items":0}}"#,
+        )
+    );
+    let snapshot = StatsSnapshot {
+        server: ServerStats {
+            requests: 1,
+            inline_handled: 2,
+            staged: 3,
+            responses: 4,
+            proto_errors: 5,
+            recv_during_flush: 6,
+            batches: 7,
+            batch_ops: 8,
+            repl_sent: 9,
+            repl_acked: 10,
+            repl_retrans: 11,
+        },
+        store: StoreStats {
+            sets: 12,
+            get_hits_ram: 13,
+            get_hits_ssd: 14,
+            get_misses: 15,
+            expired: 16,
+            deletes: 17,
+            flushed_pages: 18,
+            evicted_items: 19,
+            ssd_full_drops: 20,
+            promotes: 21,
+            async_flushes: 22,
+            inflight_hits: 23,
+            ssd_dead_bytes: 24,
+            ssd_reclaimed_extents: 25,
+            ssd_reclaimed_bytes: 26,
+            set_errors: 27,
+            get_io_errors: 28,
+            flush_errors: 29,
+            crashes: 30,
+            recovered_items: 31,
+            repl_applied: 32,
+            repl_stale_drops: u64::MAX,
+        },
+        slab: SlabStats {
+            pages_in_use: 33,
+            pages_free: 34,
+            pages_budget: 35,
+            live_items: 36,
+        },
+    };
+    let payload = Bytes::from(snapshot.to_json_value().render_compact());
+    let sim = Sim::new();
+    let client = client_of_fake_server(&sim, move |req| {
+        assert!(matches!(req, Request::Stats { .. }), "{req:?}");
+        vec![get_hit(req, Some(payload.clone()))]
+    });
+    sim.run_until(async move {
+        assert_eq!(client.server_stats(0).await, Ok(snapshot));
+    });
+    sim.shutdown();
+}
+
+/// Regression: a stray `ReplAck` whose `req_id` matches a pending `iget`
+/// is dropped as an orphan instead of completing the op (it used to reach
+/// `unreachable!` and panic). The real response still completes the op.
+#[test]
+fn stray_repl_ack_is_an_orphan_not_a_completion() {
+    let sim = Sim::new();
+    let client = client_of_fake_server(&sim, |req| {
+        let stray = Response::ReplAck {
+            req_id: req.req_id(),
+            status: OpStatus::Stored,
+            stages: StageTimes::default(),
+            seq: 1,
+        };
+        vec![stray, get_hit(req, Some(value(3)))]
+    });
+    sim.run_until(async move {
+        let done = client.iget(key(3)).await.unwrap().wait().await;
+        assert_eq!(done.status, OpStatus::Hit);
+        assert_eq!(done.value, Some(value(3)));
+        let stats = client.stats();
+        assert_eq!(stats.orphans, 1);
+        assert_eq!(stats.completed, 1);
+    });
+    sim.shutdown();
 }
 
 /// Batch frames and their member ops survive the full proto round trip

@@ -23,9 +23,10 @@
 //! - [`RunManifest`] — the machine-readable record every bench run emits
 //!   under `results/manifest/<bench>.json`.
 //!
-//! This crate is dependency-free (std only) and does its own minimal JSON
-//! rendering ([`Json`]) so that no serde version skew can perturb the
-//! golden files.
+//! This crate is dependency-free (std only). Its [`Json`] module is the
+//! repository's only JSON implementation: it renders every golden file
+//! byte-for-byte under our own control, and also parses (workload traces,
+//! the server `stats` payload) through [`json::JsonCodec`].
 
 #![warn(missing_docs)]
 

@@ -27,11 +27,9 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use crate::task::JoinHandle;
 use crate::time::SimTime;
@@ -171,6 +169,14 @@ struct Shared {
     ready: Mutex<VecDeque<(TaskId, u64)>>,
 }
 
+impl Shared {
+    /// Lock the ready queue. Only queue pushes, pops and clears run under
+    /// the lock, so a poisoned lock still holds a consistent queue.
+    fn ready(&self) -> MutexGuard<'_, VecDeque<(TaskId, u64)>> {
+        self.ready.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 struct TaskWaker {
     id: TaskId,
     generation: u64,
@@ -183,10 +189,7 @@ impl Wake for TaskWaker {
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
-        self.shared
-            .ready
-            .lock()
-            .push_back((self.id, self.generation));
+        self.shared.ready().push_back((self.id, self.generation));
     }
 }
 
@@ -346,7 +349,7 @@ impl Sim {
             w.stats.tasks_alive += 1;
             generation
         };
-        self.shared.ready.lock().push_back((id, generation));
+        self.shared.ready().push_back((id, generation));
     }
 
     /// Schedule `f` to run at virtual time `at` (clamped to now if in the
@@ -457,13 +460,13 @@ impl Sim {
             (timers, tasks)
         };
         drop(dropped);
-        self.shared.ready.lock().clear();
+        self.shared.ready().clear();
     }
 
     /// Poll every ready task until the ready queue is empty.
     fn drain_ready(&self) {
         loop {
-            let next = { self.shared.ready.lock().pop_front() };
+            let next = { self.shared.ready().pop_front() };
             match next {
                 Some((id, generation)) => self.poll_task(id, generation),
                 None => break,

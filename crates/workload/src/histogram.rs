@@ -3,6 +3,11 @@
 use nbkv_core::proto::StageTimes;
 
 /// A simple latency recorder (nanosecond samples).
+///
+/// It keeps every sample and reports exact nearest-rank quantiles, unlike
+/// the log-linear buckets of `nbkv_obs::Histogram`. The two stay separate
+/// on purpose: the figure tables print these exact values, and bucketed
+/// quantiles would move the published numbers.
 #[derive(Debug, Clone, Default)]
 pub struct LatencyRecorder {
     samples: Vec<u64>,

@@ -6,7 +6,7 @@
 //! methodology when comparing designs (and lets externally-captured
 //! workloads — e.g. converted memcached logs — drive the simulator).
 
-use serde::{Deserialize, Serialize};
+use nbkv_obs::json::{JsonCodec, JsonError};
 
 use crate::keygen::{AccessPattern, KeyChooser, KeySpace};
 use crate::mix::{OpKind, OpMix};
@@ -15,7 +15,7 @@ use rand::SeedableRng;
 
 /// One traced operation. Keys are strings (traces are human-auditable
 /// JSON); value contents are synthesized at replay time from the pool.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceOp {
     /// Store `value_len` bytes under `key`.
     Set {
@@ -45,8 +45,15 @@ impl TraceOp {
     }
 }
 
+// Externally tagged: `{"Set":{"key":"k","value_len":10}}`.
+nbkv_obs::json_codec!(enum TraceOp {
+    Set { key, value_len },
+    Get { key },
+    Delete { key },
+});
+
 /// A recorded operation sequence.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// Schema version for forward compatibility.
     pub version: u32,
@@ -55,6 +62,8 @@ pub struct Trace {
     /// The operations, in issue order.
     pub ops: Vec<TraceOp>,
 }
+
+nbkv_obs::json_codec!(Trace { version, note, ops });
 
 impl Trace {
     /// Generate a trace with the same streams a generated workload run
@@ -89,14 +98,14 @@ impl Trace {
         }
     }
 
-    /// Serialize to JSON.
+    /// Serialize to compact JSON.
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("trace serializes")
+        self.to_json_value().render_compact()
     }
 
     /// Parse from JSON.
-    pub fn from_json(json: &str) -> Result<Trace, serde_json::Error> {
-        serde_json::from_str(json)
+    pub fn from_json(json: &str) -> Result<Trace, JsonError> {
+        Trace::from_json_str(json)
     }
 
     /// Write to a file.
@@ -197,9 +206,50 @@ mod tests {
         assert!(!t.is_empty());
     }
 
+    /// The on-disk format is pinned: traces written by earlier builds
+    /// must keep loading, and new ones must come out byte-identical.
+    #[test]
+    fn json_format_is_pinned() {
+        let t = Trace {
+            version: 1,
+            note: "pinned \"fmt\"\n".into(),
+            ops: vec![
+                TraceOp::Set {
+                    key: "user000000000001".into(),
+                    value_len: 1024,
+                },
+                TraceOp::Get {
+                    key: "user000000000001".into(),
+                },
+                TraceOp::Delete {
+                    key: "k\\é".into()
+                },
+            ],
+        };
+        let pinned = r#"{"version":1,"note":"pinned \"fmt\"\n","ops":[{"Set":{"key":"user000000000001","value_len":1024}},{"Get":{"key":"user000000000001"}},{"Delete":{"key":"k\\é"}}]}"#;
+        assert_eq!(t.to_json(), pinned);
+        assert_eq!(Trace::from_json(pinned).unwrap(), t);
+    }
+
     #[test]
     fn bad_json_is_an_error() {
-        assert!(Trace::from_json("not json").is_err());
-        assert!(Trace::from_json("{\"version\":1}").is_err());
+        let ok = r#"{"version":1,"note":"","ops":[{"Get":{"key":"a"}}]}"#;
+        assert!(Trace::from_json(ok).is_ok());
+        for bad in [
+            "not json",
+            "{\"version\":1}",
+            // Trailing data after a complete trace.
+            r#"{"version":1,"note":"","ops":[]} x"#,
+            // Unterminated string.
+            r#"{"version":1,"note":"open"#,
+            // Bad escape.
+            r#"{"version":1,"note":"\q","ops":[]}"#,
+            // `version` does not fit a u32.
+            r#"{"version":4294967296,"note":"","ops":[]}"#,
+            // Unknown op tag.
+            r#"{"version":1,"note":"","ops":[{"Put":{"key":"a"}}]}"#,
+        ] {
+            assert!(Trace::from_json(bad).is_err(), "{bad}");
+        }
     }
 }

@@ -1,7 +1,30 @@
 //! Property-based tests for workload generation and measurement.
 
+use nbkv_obs::json::{Json, JsonCodec};
 use nbkv_workload::{AccessPattern, LatencyRecorder, OpMix, Trace, TraceOp, Zipf};
 use proptest::prelude::*;
+
+/// A trace of Set/Get/Delete ops whose keys carry characters that need
+/// escaping, or are multi-byte, in JSON.
+fn trace_of(ops: &[(u8, u32, usize)]) -> Trace {
+    const TAILS: [&str; 7] = ["", "\"", "\\", "\n", "é", "\u{1}", "/"];
+    let ops = ops
+        .iter()
+        .map(|&(kind, n, value_len)| {
+            let key = format!("k{n}{}", TAILS[n as usize % TAILS.len()]);
+            match kind {
+                0 => TraceOp::Set { key, value_len },
+                1 => TraceOp::Get { key },
+                _ => TraceOp::Delete { key },
+            }
+        })
+        .collect();
+    Trace {
+        version: 1,
+        note: "property test".into(),
+        ops,
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -83,5 +106,35 @@ proptest! {
         }
         let parsed = Trace::from_json(&t.to_json()).expect("round trip");
         prop_assert_eq!(parsed, t);
+    }
+
+    /// Trace files are outside input. Their JSON tree survives render ->
+    /// parse in both renderings; every truncation of a trace is rejected;
+    /// and a byte flip anywhere yields an error or a trace, never a panic.
+    #[test]
+    fn trace_json_round_trips_and_damage_never_panics(
+        ops in prop::collection::vec((0u8..3, any::<u32>(), 0usize..100_000), 0..40),
+        cut in 0.0f64..1.0,
+        flip_at in 0.0f64..1.0,
+        flip in 1u8..=255,
+    ) {
+        let t = trace_of(&ops);
+        let j = t.to_json_value();
+        prop_assert_eq!(Json::parse(&j.render_compact()), Ok(j.clone()));
+        prop_assert_eq!(Json::parse(&j.render_pretty()), Ok(j));
+        let text = t.to_json();
+        prop_assert_eq!(Trace::from_json(&text), Ok(t));
+
+        let cut = (text.len() as f64 * cut) as usize;
+        let truncated = String::from_utf8_lossy(&text.as_bytes()[..cut]);
+        prop_assert!(Json::parse(&truncated).is_err(), "{truncated}");
+        prop_assert!(Trace::from_json(&truncated).is_err());
+
+        let mut bytes = text.into_bytes();
+        let at = (bytes.len() as f64 * flip_at) as usize;
+        bytes[at] ^= flip;
+        let flipped = String::from_utf8_lossy(&bytes);
+        let _ = Json::parse(&flipped);
+        let _ = Trace::from_json(&flipped);
     }
 }
