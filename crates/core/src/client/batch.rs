@@ -21,17 +21,15 @@
 //! so a batch-enabled client that happens to issue one op at a time is
 //! bit-identical to an unbatched one.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
 use nbkv_fabric::TransportTx;
 use nbkv_obs::Histogram;
-use nbkv_simrt::Sim;
 
-use crate::client::request::{Pending, ReqState, SendWindow, WindowSlot};
-use crate::client::runtime::ClientStats;
-use crate::proto::{OpStatus, Request, Response, StageTimes};
+use crate::client::request::{InFlight, ReqState};
+use crate::proto::Request;
 
 /// Flush policy for the per-server coalescing queues.
 #[derive(Debug, Clone, Copy)]
@@ -55,7 +53,8 @@ impl Default for BatchPolicy {
     }
 }
 
-/// Why a queue was flushed (counted per flush in [`ClientStats`]).
+/// Why a queue was flushed (counted per flush in
+/// [`ClientStats`](crate::ClientStats)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FlushReason {
     Count,
@@ -76,46 +75,32 @@ struct BatchQueue {
 }
 
 /// The client's batching engine: one [`BatchQueue`] per server plus the
-/// shared plumbing flush tasks need (transports, pending table, send
-/// window, counters).
+/// transports and the client's in-flight table.
 pub(crate) struct Batcher {
-    sim: Sim,
     policy: BatchPolicy,
     queues: Vec<RefCell<BatchQueue>>,
     txs: Vec<TransportTx>,
-    pending: Pending,
-    window: Rc<SendWindow>,
-    stats: Rc<RefCell<ClientStats>>,
+    reqs: Rc<InFlight>,
     ops_hist: RefCell<Histogram>,
-    next_id: Rc<Cell<u64>>,
     /// Descriptor-chain post + doorbell ring, paid once per flushed
     /// frame — the client-CPU half of the doorbell-batching win.
     issue_cost: Duration,
 }
 
 impl Batcher {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        sim: Sim,
         policy: BatchPolicy,
         txs: Vec<TransportTx>,
-        pending: Pending,
-        window: Rc<SendWindow>,
-        stats: Rc<RefCell<ClientStats>>,
-        next_id: Rc<Cell<u64>>,
+        reqs: Rc<InFlight>,
         issue_cost: Duration,
     ) -> Rc<Batcher> {
         let queues = (0..txs.len()).map(|_| RefCell::default()).collect();
         Rc::new(Batcher {
-            sim,
             policy,
             queues,
             txs,
-            pending,
-            window,
-            stats,
+            reqs,
             ops_hist: RefCell::new(Histogram::new()),
-            next_id,
             issue_cost,
         })
     }
@@ -153,14 +138,16 @@ impl Batcher {
         };
         if let Some(reason) = trip {
             let b = Rc::clone(self);
-            self.sim.spawn(async move { b.flush(server, reason).await });
+            self.reqs
+                .sim
+                .spawn(async move { b.flush(server, reason).await });
         } else if was_empty {
             // Arm the flush deadline for this generation of the queue.
             let b = Rc::clone(self);
             let armed_epoch = self.queues[server].borrow().epoch;
             let delay = self.policy.max_delay;
-            self.sim.spawn(async move {
-                b.sim.sleep(delay).await;
+            self.reqs.sim.spawn(async move {
+                b.reqs.sim.sleep(delay).await;
                 if b.queues[server].borrow().epoch == armed_epoch {
                     b.flush(server, FlushReason::Deadline).await;
                 }
@@ -175,7 +162,8 @@ impl Batcher {
                 continue;
             }
             let b = Rc::clone(self);
-            self.sim
+            self.reqs
+                .sim
                 .spawn(async move { b.flush(server, FlushReason::Doorbell).await });
         }
     }
@@ -193,7 +181,7 @@ impl Batcher {
         let (ops, states): (Vec<_>, Vec<_>) = ops
             .into_iter()
             .zip(states)
-            .filter(|(op, _)| self.pending.borrow().contains_key(&op.req_id()))
+            .filter(|(op, _)| self.reqs.is_pending(op.req_id()))
             .unzip();
         let n = ops.len();
         if n == 0 {
@@ -201,7 +189,7 @@ impl Batcher {
         }
 
         {
-            let mut st = self.stats.borrow_mut();
+            let mut st = self.reqs.stats.borrow_mut();
             match reason {
                 FlushReason::Count => st.flush_on_count += 1,
                 FlushReason::Size => st.flush_on_size += 1,
@@ -218,24 +206,28 @@ impl Batcher {
         // Post the descriptor chain and ring the doorbell: one issue cost
         // for the whole frame, however many ops it carries.
         if !self.issue_cost.is_zero() {
-            self.sim.sleep(self.issue_cost).await;
+            self.reqs.sim.sleep(self.issue_cost).await;
         }
 
-        // One send-window permit per *frame*, shared by every member.
-        self.window.acquire().await;
-        let slot = WindowSlot::new(Rc::clone(&self.window), n);
-        for state in &states {
-            state.borrow_mut().slot = Some(Rc::clone(&slot));
+        // One send-window permit per *frame*, shared by every member. A
+        // member cancelled while the frame paid its issue charge gives its
+        // share straight back (it still rides the frame; its answer is an
+        // orphan).
+        let slot = self.reqs.acquire_slot(n).await;
+        for (op, state) in ops.iter().zip(&states) {
+            if self.reqs.is_pending(op.req_id()) {
+                state.borrow_mut().slot = Some(Rc::clone(&slot));
+            } else {
+                self.reqs.release(Some(Rc::clone(&slot)));
+            }
         }
 
         let ids: Vec<u64> = ops.iter().map(|op| op.req_id()).collect();
         let frame = if n == 1 {
             ops.into_iter().next().expect("n == 1").encode()
         } else {
-            let frame_id = self.next_id.get();
-            self.next_id.set(frame_id + 1);
             let flavor = ops[0].flavor();
-            Request::batch(frame_id, flavor, ops)
+            Request::batch(self.reqs.alloc_id(), flavor, ops)
                 .expect("flush builds non-empty, non-nested batches")
                 .encode()
         };
@@ -247,33 +239,14 @@ impl Batcher {
                 }
                 ticket.wait_sent().await;
                 for state in &states {
-                    let mut s = state.borrow_mut();
-                    s.sent = true;
-                    s.notify.notify_waiters();
+                    state.borrow_mut().mark_sent();
                 }
             }
             Err(_) => {
-                // The connection died under the frame: complete every
-                // member with an error so waiters do not hang, and return
-                // the frame's window permit.
-                let now = self.sim.now();
-                for (req_id, state) in ids.into_iter().zip(states) {
-                    self.pending.borrow_mut().remove(&req_id);
-                    let slot = {
-                        let mut s = state.borrow_mut();
-                        s.response = Some(Response::Set {
-                            req_id,
-                            status: OpStatus::Error,
-                            stages: StageTimes::default(),
-                        });
-                        s.done = true;
-                        s.completed_at = Some(now);
-                        s.notify.notify_waiters();
-                        s.slot.take()
-                    };
-                    if let Some(slot) = slot {
-                        slot.member_done();
-                    }
+                // The connection died under the frame: fail every member
+                // so waiters do not hang and the frame's permit returns.
+                for req_id in ids {
+                    self.reqs.fail(req_id);
                 }
             }
         }

@@ -3,42 +3,34 @@
 //! Every issued operation returns a [`ReqHandle`] holding a completion
 //! flag, the eventual server response, and timing. [`ReqHandle::wait`] is
 //! `memcached_wait`; [`ReqHandle::test`] is `memcached_test`.
+//!
+//! [`InFlight`] is the client's one in-flight table. Every op is
+//! registered there once and lands there once (or is forgotten), whichever
+//! transport carried it: one-sided read, batch frame or single frame.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::rc::Rc;
 
 use bytes::Bytes;
 use nbkv_simrt::{Notify, Semaphore, Sim, SimTime};
 use std::time::Duration;
 
-use crate::proto::{OpStatus, Response, StageTimes};
-
-/// Outstanding-request table shared between the client, its progress
-/// tasks, and every [`ReqHandle`] (for cancellation).
-pub(crate) type Pending = Rc<RefCell<HashMap<u64, Rc<RefCell<ReqState>>>>>;
+use crate::client::runtime::ClientStats;
+use crate::proto::{OpStatus, Request, Response, StageTimes};
 
 /// The client's send window: a semaphore bounding in-flight *fabric
 /// frames* plus direct occupancy accounting. The high-water mark tracks
 /// acquired permits — not the pending-op table, which diverges from
 /// window occupancy once a batch frame shares one permit across many ops.
-pub(crate) struct SendWindow {
+struct SendWindow {
     sem: Semaphore,
     in_flight: Cell<u64>,
     hwm: Cell<u64>,
 }
 
 impl SendWindow {
-    pub(crate) fn new(max_outstanding: usize) -> Rc<SendWindow> {
-        Rc::new(SendWindow {
-            sem: Semaphore::new(max_outstanding),
-            in_flight: Cell::new(0),
-            hwm: Cell::new(0),
-        })
-    }
-
-    /// Acquire one frame slot (released via [`WindowSlot`]).
-    pub(crate) async fn acquire(&self) {
+    async fn acquire(&self) {
         self.sem.acquire().await.forget();
         let n = self.in_flight.get() + 1;
         self.in_flight.set(n);
@@ -50,39 +42,162 @@ impl SendWindow {
         self.in_flight.set(self.in_flight.get().saturating_sub(1));
         self.sem.add_permits(1);
     }
-
-    /// High-water mark of concurrently-held frame slots.
-    pub(crate) fn hwm(&self) -> u64 {
-        self.hwm.get()
-    }
 }
 
 /// One acquired send-window slot, shared by every op travelling in the
-/// same fabric frame (one op for the per-op path, N for a batch). The
-/// slot returns its window permit when the last member completes or is
-/// cancelled.
-pub(crate) struct WindowSlot {
-    remaining: Cell<usize>,
-    window: Rc<SendWindow>,
+/// same fabric frame (one op for a single frame, N for a batch): the
+/// number of member ops still holding it. The last member to land or be
+/// forgotten returns the frame's window permit.
+pub(crate) type WindowSlot = Rc<Cell<usize>>;
+
+/// The client's in-flight table, shared by the client, its progress
+/// tasks, its direct-read tasks, its batcher and every [`ReqHandle`]: the
+/// pending-op map, the send window, the counters and the request-id
+/// allocator.
+pub(crate) struct InFlight {
+    pub(crate) sim: Sim,
+    pending: RefCell<HashMap<u64, Rc<RefCell<ReqState>>>>,
+    window: SendWindow,
+    pub(crate) stats: RefCell<ClientStats>,
+    next_id: Cell<u64>,
 }
 
-impl WindowSlot {
-    pub(crate) fn new(window: Rc<SendWindow>, members: usize) -> Rc<WindowSlot> {
-        debug_assert!(members > 0);
-        Rc::new(WindowSlot {
-            remaining: Cell::new(members),
-            window,
+impl InFlight {
+    pub(crate) fn new(sim: Sim, max_outstanding: usize) -> Rc<InFlight> {
+        Rc::new(InFlight {
+            sim,
+            pending: RefCell::new(HashMap::new()),
+            window: SendWindow {
+                sem: Semaphore::new(max_outstanding),
+                in_flight: Cell::new(0),
+                hwm: Cell::new(0),
+            },
+            stats: RefCell::new(ClientStats::default()),
+            next_id: Cell::new(1),
         })
     }
 
-    /// One member op finished (completed or cancelled); the last one out
-    /// releases the frame's window permit.
-    pub(crate) fn member_done(&self) {
-        let r = self.remaining.get();
-        debug_assert!(r > 0, "slot over-released");
-        self.remaining.set(r - 1);
-        if r == 1 {
-            self.window.release();
+    /// Allocate a request id (op or batch frame).
+    pub(crate) fn alloc_id(&self) -> u64 {
+        let id = self.next_id.get();
+        self.next_id.set(id + 1);
+        id
+    }
+
+    /// The id [`alloc_id`](Self::alloc_id) hands out next.
+    pub(crate) fn peek_id(&self) -> u64 {
+        self.next_id.get()
+    }
+
+    /// Acquire one send-window slot for a frame of `members` ops.
+    pub(crate) async fn acquire_slot(&self, members: usize) -> WindowSlot {
+        debug_assert!(members > 0);
+        self.window.acquire().await;
+        Rc::new(Cell::new(members))
+    }
+
+    /// High-water mark of concurrently-held frame slots.
+    pub(crate) fn window_hwm(&self) -> u64 {
+        self.window.hwm.get()
+    }
+
+    /// Ops currently in flight.
+    pub(crate) fn outstanding(&self) -> usize {
+        self.pending.borrow().len()
+    }
+
+    pub(crate) fn is_pending(&self, req_id: u64) -> bool {
+        self.pending.borrow().contains_key(&req_id)
+    }
+
+    /// Register `req` as in flight and count it issued. `slot` is `None`
+    /// while the op waits in a batch queue (the flush assigns it).
+    pub(crate) fn register(
+        self: &Rc<Self>,
+        req: &Request,
+        issued_at: SimTime,
+        slot: Option<WindowSlot>,
+    ) -> ReqHandle {
+        let state = Rc::new(RefCell::new(ReqState {
+            expect: req.response_opcode(),
+            response: None,
+            notify: Notify::new(),
+            issued_at,
+            sent_at: None,
+            completed_at: issued_at,
+            slot,
+            sent: false,
+            direct_fallback: false,
+        }));
+        let req_id = req.req_id();
+        self.pending.borrow_mut().insert(req_id, Rc::clone(&state));
+        self.stats.borrow_mut().issued += 1;
+        ReqHandle {
+            reqs: Rc::clone(self),
+            state,
+            req_id,
+        }
+    }
+
+    /// Land `resp` on its pending op: fill the op's state, wake its
+    /// waiters, release its share of the frame's window slot, and count it
+    /// completed. A response for no pending op (late, duplicate, cancelled)
+    /// or of the wrong kind for its op is counted as an orphan and leaves
+    /// the table untouched. Returns the landed op's state.
+    pub(crate) fn land(&self, resp: Response) -> Option<Rc<RefCell<ReqState>>> {
+        let state = match self.pending.borrow_mut().entry(resp.req_id()) {
+            Entry::Occupied(e) if e.get().borrow().expect == resp.opcode() => Some(e.remove()),
+            _ => None,
+        };
+        let Some(state) = state else {
+            self.stats.borrow_mut().orphans += 1;
+            return None;
+        };
+        let slot = {
+            let mut s = state.borrow_mut();
+            s.response = Some(resp);
+            s.sent = true;
+            s.completed_at = self.sim.now();
+            s.notify.notify_waiters();
+            s.slot.take()
+        };
+        self.release(slot);
+        self.stats.borrow_mut().completed += 1;
+        Some(state)
+    }
+
+    /// Complete a pending op with an `Error` response of its own kind (the
+    /// connection died under it). A no-op when the op is not pending.
+    pub(crate) fn fail(&self, req_id: u64) {
+        let expect = match self.pending.borrow().get(&req_id) {
+            Some(s) => s.borrow().expect,
+            None => return,
+        };
+        self.land(Response::error(expect, req_id));
+    }
+
+    /// Drop a pending op that will get no response (its send failed, or
+    /// the caller cancelled it) and release its window-slot share. Returns
+    /// `true` if the op was pending.
+    pub(crate) fn forget(&self, req_id: u64) -> bool {
+        let Some(state) = self.pending.borrow_mut().remove(&req_id) else {
+            return false;
+        };
+        let slot = state.borrow_mut().slot.take();
+        self.release(slot);
+        true
+    }
+
+    /// One member of `slot`'s frame is done; the last one out returns the
+    /// frame's window permit.
+    pub(crate) fn release(&self, slot: Option<WindowSlot>) {
+        if let Some(slot) = slot {
+            let remaining = slot.get();
+            debug_assert!(remaining > 0, "slot over-released");
+            slot.set(remaining - 1);
+            if remaining == 1 {
+                self.window.release();
+            }
         }
     }
 }
@@ -152,16 +267,21 @@ impl Completion {
 }
 
 pub(crate) struct ReqState {
-    pub(crate) done: bool,
-    pub(crate) response: Option<Response>,
-    pub(crate) notify: Notify,
+    /// Wire opcode of the response kind that answers this op
+    /// ([`Request::response_opcode`]); any other kind is an orphan. Only
+    /// the opcode is kept: the request would pin its key and value.
+    expect: u8,
+    /// The landed response; `Some` means done.
+    response: Option<Response>,
+    notify: Notify,
     pub(crate) issued_at: SimTime,
     pub(crate) sent_at: Option<SimTime>,
-    pub(crate) completed_at: Option<SimTime>,
+    /// When the response landed (meaningful once `response` is `Some`).
+    completed_at: SimTime,
     /// The send-window slot of the frame this op travelled in. Set when
-    /// the frame is posted (immediately for the per-op path, at flush for
-    /// a coalesced op); `None` while the op sits in a batch queue.
-    pub(crate) slot: Option<Rc<WindowSlot>>,
+    /// the frame is posted (at issue for a single frame or direct read, at
+    /// flush for a coalesced op); `None` while the op sits in a batch queue.
+    pub(crate) slot: Option<WindowSlot>,
     /// True once the NIC has finished reading the op's buffers (the
     /// `bset`/`bget` buffer-reuse point). `notify` fires on this
     /// transition too.
@@ -173,33 +293,10 @@ pub(crate) struct ReqState {
 }
 
 impl ReqState {
-    pub(crate) fn new(issued_at: SimTime) -> Rc<RefCell<ReqState>> {
-        Rc::new(RefCell::new(ReqState {
-            done: false,
-            response: None,
-            notify: Notify::new(),
-            issued_at,
-            sent_at: None,
-            completed_at: None,
-            slot: None,
-            sent: false,
-            direct_fallback: false,
-        }))
-    }
-}
-
-/// Wait until `state.sent` — the buffer-reuse point for coalesced
-/// `bset`/`bget` ops (set after the batch frame's send completion).
-pub(crate) async fn wait_sent(state: &Rc<RefCell<ReqState>>) {
-    loop {
-        let notified = {
-            let s = state.borrow();
-            if s.sent || s.done {
-                return;
-            }
-            s.notify.notified()
-        };
-        notified.await;
+    /// The NIC finished reading the op's buffers: wake `bset`/`bget`.
+    pub(crate) fn mark_sent(&mut self) {
+        self.sent = true;
+        self.notify.notify_waiters();
     }
 }
 
@@ -207,16 +304,15 @@ pub(crate) async fn wait_sent(state: &Rc<RefCell<ReqState>>) {
 /// Listing 1.
 #[derive(Clone)]
 pub struct ReqHandle {
-    pub(crate) sim: Sim,
+    pub(crate) reqs: Rc<InFlight>,
     pub(crate) state: Rc<RefCell<ReqState>>,
     pub(crate) req_id: u64,
-    pub(crate) pending: Pending,
 }
 
 impl ReqHandle {
     /// True once the server's response has arrived.
     pub fn is_done(&self) -> bool {
-        self.state.borrow().done
+        self.state.borrow().response.is_some()
     }
 
     /// Abandon an in-flight request: drop it from the outstanding table and
@@ -227,28 +323,13 @@ impl ReqHandle {
     /// op cancelled while still queued in a batch is dropped from the
     /// frame at flush time (it never touched the window).
     pub fn cancel(&self) -> bool {
-        if self.state.borrow().done {
-            return false;
-        }
-        if self.pending.borrow_mut().remove(&self.req_id).is_some() {
-            if let Some(slot) = self.state.borrow_mut().slot.take() {
-                slot.member_done();
-            }
-            true
-        } else {
-            false
-        }
+        !self.is_done() && self.reqs.forget(self.req_id)
     }
 
     /// Non-blocking completion check (`memcached_test`): `Some` with the
     /// outcome if complete, `None` if still in flight.
     pub fn test(&self) -> Option<Completion> {
-        let s = self.state.borrow();
-        if s.done {
-            Some(build_completion(&s))
-        } else {
-            None
-        }
+        build_completion(&self.state.borrow())
     }
 
     /// Wait for completion, giving up after `dur` of virtual time.
@@ -260,7 +341,7 @@ impl ReqHandle {
     /// cannot leak the client's issue window. (To keep waiting instead,
     /// use [`nbkv_simrt::timeout`] around [`wait`](Self::wait) directly.)
     pub async fn wait_timeout(&self, dur: Duration) -> Result<Completion, nbkv_simrt::Elapsed> {
-        match nbkv_simrt::timeout(&self.sim, dur, self.wait()).await {
+        match nbkv_simrt::timeout(&self.reqs.sim, dur, self.wait()).await {
             Ok(c) => Ok(c),
             Err(elapsed) => {
                 self.cancel();
@@ -274,8 +355,23 @@ impl ReqHandle {
         loop {
             let notified = {
                 let s = self.state.borrow();
-                if s.done {
-                    return build_completion(&s);
+                if let Some(c) = build_completion(&s) {
+                    return c;
+                }
+                s.notify.notified()
+            };
+            notified.await;
+        }
+    }
+
+    /// Wait until the op's buffers are reusable (`bset`/`bget`): its
+    /// frame's send completion fired, or the op already finished.
+    pub(crate) async fn wait_sent(&self) {
+        loop {
+            let notified = {
+                let s = self.state.borrow();
+                if s.sent || s.response.is_some() {
+                    return;
                 }
                 s.notify.notified()
             };
@@ -284,70 +380,25 @@ impl ReqHandle {
     }
 }
 
-fn build_completion(s: &ReqState) -> Completion {
-    let completed_at = s.completed_at.expect("done implies completion time");
-    let sent_at = s.sent_at.unwrap_or(s.issued_at);
-    match s.response.as_ref().expect("done implies response") {
-        Response::Set { status, stages, .. } => Completion {
-            status: *status,
-            value: None,
-            flags: 0,
-            cas: 0,
-            counter: 0,
-            stages: *stages,
-            issued_at: s.issued_at,
-            sent_at,
-            completed_at,
-        },
+/// The caller-facing outcome of a landed op; `None` while in flight.
+fn build_completion(s: &ReqState) -> Option<Completion> {
+    let resp = s.response.as_ref()?;
+    let (value, flags, cas, counter) = match resp {
         Response::Get {
-            status,
-            stages,
-            flags,
-            cas,
-            value,
-            ..
-        } => Completion {
-            status: *status,
-            value: value.clone(),
-            flags: *flags,
-            cas: *cas,
-            counter: 0,
-            stages: *stages,
-            issued_at: s.issued_at,
-            sent_at,
-            completed_at,
-        },
-        Response::Delete { status, stages, .. } => Completion {
-            status: *status,
-            value: None,
-            flags: 0,
-            cas: 0,
-            counter: 0,
-            stages: *stages,
-            issued_at: s.issued_at,
-            sent_at,
-            completed_at,
-        },
-        Response::Counter {
-            status,
-            stages,
-            value,
-            ..
-        } => Completion {
-            status: *status,
-            value: None,
-            flags: 0,
-            cas: 0,
-            counter: *value,
-            stages: *stages,
-            issued_at: s.issued_at,
-            sent_at,
-            completed_at,
-        },
-        // The progress task fans batch frames out into member responses
-        // and drops replication acks as orphans, so neither kind ever
-        // lands on an op's state.
-        Response::Batch { .. } => unreachable!("batch frames are fanned out per member"),
-        Response::ReplAck { .. } => unreachable!("the progress task drops replication acks"),
-    }
+            value, flags, cas, ..
+        } => (value.clone(), *flags, *cas, 0),
+        Response::Counter { value, .. } => (None, 0, 0, *value),
+        _ => (None, 0, 0, 0),
+    };
+    Some(Completion {
+        status: resp.status(),
+        value,
+        flags,
+        cas,
+        counter,
+        stages: resp.stages(),
+        issued_at: s.issued_at,
+        sent_at: s.sent_at.unwrap_or(s.issued_at),
+        completed_at: s.completed_at,
+    })
 }

@@ -3,10 +3,14 @@
 //!
 //! ## Issue/completion split
 //!
-//! Every operation is issued to the RDMA engine and completed by a
-//! background *progress task* (one per connection) that matches responses
-//! to outstanding [`ReqHandle`]s — the "underlying communication engine
-//! completes the request in the background" of Section V-A.
+//! Every operation, blocking or not, goes through one issue pipeline:
+//! route → choose a transport (one-sided read, batch queue or single
+//! frame) → register in the client's in-flight table → return a
+//! [`ReqHandle`]. A background *progress task* (one per connection) lands
+//! responses on their handles — the "underlying communication engine
+//! completes the request in the background" of Section V-A. Blocking
+//! calls are that same issue followed by a wait under the
+//! [`ResiliencePolicy`].
 //!
 //! ## Buffer-reuse semantics and their costs
 //!
@@ -22,8 +26,7 @@
 //! - All flavours charge memory-registration costs through an [`MrCache`]:
 //!   first use of a buffer pays `ibv_reg_mr`, reuse is free.
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::cell::Cell;
 use std::future::Future;
 use std::rc::Rc;
 use std::task::Poll;
@@ -36,9 +39,7 @@ use nbkv_simrt::Sim;
 
 use crate::client::batch::{BatchPolicy, Batcher};
 use crate::client::onesided::{DirectOutcome, DirectPolicy, DirectReadEngine};
-use crate::client::request::{
-    wait_sent, Completion, Pending, ReqHandle, ReqState, SendWindow, WindowSlot,
-};
+use crate::client::request::{Completion, InFlight, ReqHandle};
 use crate::client::resilience::{Breaker, ResiliencePolicy};
 use crate::client::ring::Ring;
 use crate::costs::CpuCosts;
@@ -193,11 +194,8 @@ pub struct Client {
     cfg: ClientConfig,
     txs: Vec<TransportTx>,
     ring: Ring,
-    pending: Pending,
-    next_id: Rc<Cell<u64>>,
+    reqs: Rc<InFlight>,
     mr: MrCache,
-    window: Rc<SendWindow>,
-    stats: Rc<RefCell<ClientStats>>,
     breakers: Vec<Breaker>,
     batcher: Option<Rc<Batcher>>,
     directs: Vec<Option<Rc<DirectReadEngine>>>,
@@ -238,9 +236,7 @@ impl Client {
     ) -> Rc<Client> {
         assert!(!transports.is_empty(), "client needs at least one server");
         let profile = *transports[0].profile();
-        let pending: Pending = Rc::new(RefCell::new(HashMap::new()));
-        let window = SendWindow::new(cfg.max_outstanding);
-        let stats = Rc::new(RefCell::new(ClientStats::default()));
+        let reqs = InFlight::new(sim.clone(), cfg.max_outstanding);
         let n = transports.len();
         let mut qps = qps;
         qps.resize_with(n, || None);
@@ -263,10 +259,8 @@ impl Client {
             let (tx, rx) = t.split();
             txs.push(tx);
             let task = ProgressTask {
-                sim: sim.clone(),
                 rx,
-                pending: Rc::clone(&pending),
-                stats: Rc::clone(&stats),
+                reqs: Rc::clone(&reqs),
                 costs: cfg.costs,
                 direct: directs[i].clone(),
             };
@@ -274,16 +268,11 @@ impl Client {
         }
         let ring = Ring::new(txs.len());
         let breakers = (0..txs.len()).map(|_| Breaker::default()).collect();
-        let next_id = Rc::new(Cell::new(1));
         let batcher = cfg.batch.map(|policy| {
             Batcher::new(
-                sim.clone(),
                 policy,
                 txs.clone(),
-                Rc::clone(&pending),
-                Rc::clone(&window),
-                Rc::clone(&stats),
-                Rc::clone(&next_id),
+                Rc::clone(&reqs),
                 cfg.costs.client_issue,
             )
         });
@@ -292,11 +281,8 @@ impl Client {
             cfg,
             txs,
             ring,
-            pending,
-            next_id,
+            reqs,
             mr: MrCache::new(sim.clone(), profile),
-            window,
-            stats,
             breakers,
             batcher,
             directs,
@@ -321,10 +307,10 @@ impl Client {
             return;
         };
         let req = Request::WindowLease {
-            req_id: self.alloc_req_id(),
+            req_id: self.reqs.alloc_id(),
             flavor: ApiFlavor::Block,
         };
-        let Ok(h) = self.post(server, req, false).await else {
+        let Ok(h) = self.issue(server, req, false).await else {
             engine.mark_no_window();
             return;
         };
@@ -376,8 +362,8 @@ impl Client {
 
     /// Counter snapshot.
     pub fn stats(&self) -> ClientStats {
-        let mut st = *self.stats.borrow();
-        st.window_hwm = self.window.hwm();
+        let mut st = *self.reqs.stats.borrow();
+        st.window_hwm = self.reqs.window_hwm();
         for e in self.directs.iter().flatten() {
             let (hits, stale, ssd, lost, flips) = e.counters();
             st.direct_hits += hits;
@@ -419,7 +405,7 @@ impl Client {
 
     /// Requests currently in flight.
     pub fn outstanding(&self) -> usize {
-        self.pending.borrow().len()
+        self.reqs.outstanding()
     }
 
     /// Prepare a user buffer for transmission: small buffers are copied
@@ -446,18 +432,8 @@ impl Client {
         flags: u32,
         expire: Option<Duration>,
     ) -> Result<ReqHandle, ClientError> {
-        self.prepare_buffer(&key).await;
-        self.prepare_buffer(&value).await;
-        self.issue_set(
-            key,
-            value,
-            flags,
-            expire,
-            ApiFlavor::NonBlockingI,
-            false,
-            SetMode::Set,
-        )
-        .await
+        self.issue_set(key, value, flags, expire, ApiFlavor::NonBlockingI, false)
+            .await
     }
 
     /// Non-blocking set that returns once the key/value buffers are
@@ -469,30 +445,18 @@ impl Client {
         flags: u32,
         expire: Option<Duration>,
     ) -> Result<ReqHandle, ClientError> {
-        self.prepare_buffer(&key).await;
-        self.prepare_buffer(&value).await;
-        self.issue_set(
-            key,
-            value,
-            flags,
-            expire,
-            ApiFlavor::NonBlockingB,
-            true,
-            SetMode::Set,
-        )
-        .await
+        self.issue_set(key, value, flags, expire, ApiFlavor::NonBlockingB, true)
+            .await
     }
 
     /// Non-blocking get, no buffer-reuse guarantee (`memcached_iget`).
     pub async fn iget(&self, key: Bytes) -> Result<ReqHandle, ClientError> {
-        self.prepare_buffer(&key).await;
         self.issue_get(key, ApiFlavor::NonBlockingI, false).await
     }
 
     /// Non-blocking get that returns once the key buffer is reusable
     /// (`memcached_bget`).
     pub async fn bget(&self, key: Bytes) -> Result<ReqHandle, ClientError> {
-        self.prepare_buffer(&key).await;
         self.issue_get(key, ApiFlavor::NonBlockingB, true).await
     }
 
@@ -505,73 +469,16 @@ impl Client {
         flags: u32,
         expire: Option<Duration>,
     ) -> Result<Completion, ClientError> {
-        self.prepare_buffer(&key).await;
-        self.prepare_buffer(&value).await;
-        let expire_at_ns = expire.map_or(0, |d| (self.sim.now() + d).as_nanos());
-        let rs = self.route_set(&key);
-        self.call_blocking(rs, false, &|req_id| Request::Set {
-            req_id,
-            flavor: ApiFlavor::Block,
-            mode: SetMode::Set,
-            flags,
-            expire_at_ns,
-            key: key.clone(),
-            value: value.clone(),
-        })
-        .await
+        self.store(SetMode::Set, key, value, flags, expire).await
     }
 
     /// Blocking get (`memcached_get`), under the configured
     /// [`ResiliencePolicy`] — including hedging when
-    /// [`ResiliencePolicy::hedge_after`] is set.
+    /// [`ResiliencePolicy::hedge_after`] is set. Each attempt may be
+    /// served by a one-sided read (see [`ClientConfig::direct`]).
     pub async fn get(&self, key: Bytes) -> Result<Completion, ClientError> {
         self.mr.ensure_registered(&key).await;
         let rs = self.read_route_set(&key);
-        // The selected replica (under SpreadReplicas this rotates across
-        // the key's copies; otherwise it is the primary).
-        let server = rs.order[0];
-        // Direct fast path: a validated one-sided read of the *selected
-        // replica's* window returns without touching any server CPU; any
-        // other outcome falls through to the full resilience engine below.
-        if let Some(engine) = self.directs.get(server).and_then(|e| e.clone()) {
-            if engine.decide() {
-                let t0 = self.sim.now();
-                if !self.cfg.costs.client_issue.is_zero() {
-                    self.sim.sleep(self.cfg.costs.client_issue).await;
-                }
-                self.window.acquire().await;
-                let slot = WindowSlot::new(Rc::clone(&self.window), 1);
-                let outcome = engine.read(&key).await;
-                slot.member_done();
-                engine.note(&outcome);
-                if let DirectOutcome::Hit { value, flags } = outcome {
-                    let cost = self.cfg.costs.memcpy(value.len());
-                    if !cost.is_zero() {
-                        self.sim.sleep(cost).await;
-                    }
-                    self.note_replica_route(&rs, server, true);
-                    {
-                        let mut st = self.stats.borrow_mut();
-                        st.issued += 1;
-                        st.completed += 1;
-                    }
-                    return Ok(Completion {
-                        status: OpStatus::Hit,
-                        value: Some(value),
-                        flags,
-                        cas: 0,
-                        counter: 0,
-                        stages: StageTimes {
-                            served_from: ServedFrom::Ram,
-                            ..StageTimes::default()
-                        },
-                        issued_at: t0,
-                        sent_at: t0,
-                        completed_at: self.sim.now(),
-                    });
-                }
-            }
-        }
         self.call_blocking(rs, true, &|req_id| Request::Get {
             req_id,
             flavor: ApiFlavor::Block,
@@ -601,8 +508,7 @@ impl Client {
         flags: u32,
         expire: Option<Duration>,
     ) -> Result<Completion, ClientError> {
-        self.conditional_store(SetMode::Add, key, value, flags, expire)
-            .await
+        self.store(SetMode::Add, key, value, flags, expire).await
     }
 
     /// Store only if the key is present (memcached `replace`).
@@ -613,7 +519,7 @@ impl Client {
         flags: u32,
         expire: Option<Duration>,
     ) -> Result<Completion, ClientError> {
-        self.conditional_store(SetMode::Replace, key, value, flags, expire)
+        self.store(SetMode::Replace, key, value, flags, expire)
             .await
     }
 
@@ -627,20 +533,18 @@ impl Client {
         expire: Option<Duration>,
         cas: u64,
     ) -> Result<Completion, ClientError> {
-        self.conditional_store(SetMode::Cas(cas), key, value, flags, expire)
+        self.store(SetMode::Cas(cas), key, value, flags, expire)
             .await
     }
 
     /// Append bytes to an existing value (keeps its flags and expiry).
     pub async fn append(&self, key: Bytes, value: Bytes) -> Result<Completion, ClientError> {
-        self.conditional_store(SetMode::Append, key, value, 0, None)
-            .await
+        self.store(SetMode::Append, key, value, 0, None).await
     }
 
     /// Prepend bytes to an existing value.
     pub async fn prepend(&self, key: Bytes, value: Bytes) -> Result<Completion, ClientError> {
-        self.conditional_store(SetMode::Prepend, key, value, 0, None)
-            .await
+        self.store(SetMode::Prepend, key, value, 0, None).await
     }
 
     /// Increment a decimal counter value (memcached `incr`); returns the
@@ -687,16 +591,14 @@ impl Client {
         server_idx: usize,
     ) -> Result<crate::server::StatsSnapshot, ClientError> {
         assert!(server_idx < self.txs.len(), "no such server");
-        let req_id = self.alloc_req_id();
         let req = Request::Stats {
-            req_id,
+            req_id: self.reqs.alloc_id(),
             flavor: ApiFlavor::Block,
         };
-        let h = self.post(server_idx, req, false).await?;
-        let done = match self.cfg.resilience.deadline {
-            Some(d) => h.wait_timeout(d).await.map_err(|_| ClientError::TimedOut)?,
-            None => h.wait().await,
-        };
+        let h = self.issue(server_idx, req, false).await?;
+        let done = wait_within(&h, self.cfg.resilience.deadline)
+            .await
+            .ok_or(ClientError::TimedOut)?;
         // A fault plan can truncate or corrupt the payload in flight;
         // surface that as an error instead of killing the whole sim.
         let payload = done.value.ok_or(ClientError::BadResponse)?;
@@ -743,7 +645,7 @@ impl Client {
         }
     }
 
-    async fn conditional_store(
+    async fn store(
         &self,
         mode: SetMode,
         key: Bytes,
@@ -797,7 +699,7 @@ impl Client {
 
     // -- issue path ---------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
+    /// `iset`/`bset`: a plain set to the first live replica.
     async fn issue_set(
         &self,
         key: Bytes,
@@ -806,232 +708,138 @@ impl Client {
         expire: Option<Duration>,
         flavor: ApiFlavor,
         wait_sent: bool,
-        mode: SetMode,
     ) -> Result<ReqHandle, ClientError> {
+        self.prepare_buffer(&key).await;
+        self.prepare_buffer(&value).await;
         let expire_at_ns = expire.map_or(0, |d| (self.sim.now() + d).as_nanos());
-        let rs = self.route_set(&key);
-        let server = self.pick_live(&rs);
-        self.note_replica_route(&rs, server, false);
-        let req_id = self.alloc_req_id();
+        let server = self.pick_live(&self.route_set(&key), false);
         let req = Request::Set {
-            req_id,
+            req_id: self.reqs.alloc_id(),
             flavor,
-            mode,
+            mode: SetMode::Set,
             flags,
             expire_at_ns,
             key,
             value,
         };
-        if self.batcher.is_some() {
-            self.enqueue_op(server, req, wait_sent).await
-        } else {
-            self.post(server, req, wait_sent).await
-        }
+        self.issue(server, req, wait_sent).await
     }
 
+    /// `iget`/`bget`: a get from the first live replica.
     async fn issue_get(
         &self,
         key: Bytes,
         flavor: ApiFlavor,
         wait_sent: bool,
     ) -> Result<ReqHandle, ClientError> {
-        let rs = self.read_route_set(&key);
-        let server = self.pick_live(&rs);
-        self.note_replica_route(&rs, server, true);
-        if let Some(engine) = self.directs.get(server).and_then(|e| e.clone()) {
-            if engine.decide() {
-                return self.issue_direct_get(server, engine, key, flavor).await;
-            }
-        }
-        let req_id = self.alloc_req_id();
+        self.prepare_buffer(&key).await;
+        let server = self.pick_live(&self.read_route_set(&key), true);
         let req = Request::Get {
-            req_id,
+            req_id: self.reqs.alloc_id(),
             flavor,
             key,
         };
-        if self.batcher.is_some() {
-            self.enqueue_op(server, req, wait_sent).await
-        } else {
-            self.post(server, req, wait_sent).await
-        }
+        self.issue(server, req, wait_sent).await
     }
 
-    /// Batched issue path: register the op and hand it to the coalescing
-    /// queue. Queuing a prepared descriptor is a memory write — the
-    /// `client_issue` cost (descriptor-chain post + doorbell ring) is paid
-    /// once per *frame* by the flush task, which is the doorbell-batching
-    /// win on the client CPU. Send failures surface as error completions
-    /// on the handle (the connection state is not knowable at enqueue
-    /// time).
-    async fn enqueue_op(
-        &self,
-        server: usize,
-        req: Request,
-        wait_for_sent: bool,
-    ) -> Result<ReqHandle, ClientError> {
-        let batcher = self.batcher.as_ref().expect("enqueue_op requires batching");
-        let req_id = req.req_id();
-        let state = ReqState::new(self.sim.now());
-        self.pending.borrow_mut().insert(req_id, Rc::clone(&state));
-        self.stats.borrow_mut().issued += 1;
-        batcher.enqueue(server, req, Rc::clone(&state));
-        if wait_for_sent {
-            // bset/bget semantics: the buffers are reusable once the
-            // carrying frame's send completion fires.
-            wait_sent(&state).await;
-        }
-        Ok(ReqHandle {
-            sim: self.sim.clone(),
-            state,
-            req_id,
-            pending: Rc::clone(&self.pending),
-        })
-    }
-
-    async fn post(
+    /// The one issue pipeline: register `req` (its id already allocated)
+    /// as in flight to `server`, pick its transport, and return its
+    /// handle. Every op, blocking or not, comes through here:
+    ///
+    /// - a `Get` whose server's [`DirectReadEngine`] decides to go direct
+    ///   is served by one-sided reads in a spawned task; any non-hit falls
+    ///   back to an RPC under the same `req_id`, which the progress task
+    ///   lands like any other response;
+    /// - a non-blocking op joins the server's coalescing queue when
+    ///   batching is on (queuing is a memory write: the flush pays the
+    ///   `client_issue` cost once per frame);
+    /// - anything else goes out as one frame.
+    ///
+    /// With `wait_sent` the call returns only once the NIC has finished
+    /// reading the op's buffers (`bset`/`bget`). A failed single-frame
+    /// send is [`ClientError::Disconnected`]; on the other transports the
+    /// send happens later and a failure completes the op with an error.
+    async fn issue(
         &self,
         server: usize,
         req: Request,
         wait_sent: bool,
     ) -> Result<ReqHandle, ClientError> {
+        let direct = match (&req, &self.directs[server]) {
+            (Request::Get { key, .. }, Some(e)) if e.decide() => Some((Rc::clone(e), key.clone())),
+            _ => None,
+        };
+        if let (None, Some(batcher)) = (&direct, &self.batcher) {
+            if req.flavor().is_nonblocking() {
+                let h = self.reqs.register(&req, self.sim.now(), None);
+                batcher.enqueue(server, req, Rc::clone(&h.state));
+                if wait_sent {
+                    h.wait_sent().await;
+                }
+                return Ok(h);
+            }
+        }
         // The op starts when the application asks for it; the issue cost
         // (descriptor post + doorbell) is part of its end-to-end latency,
         // exactly as on the batched path where the flush pays it.
-        let issue_start = self.sim.now();
+        let issued_at = self.sim.now();
         if !self.cfg.costs.client_issue.is_zero() {
             self.sim.sleep(self.cfg.costs.client_issue).await;
         }
-        // Send-queue depth: acquire a frame slot, released on completion.
-        self.window.acquire().await;
-        let req_id = req.req_id();
-        let state = ReqState::new(issue_start);
-        state.borrow_mut().slot = Some(WindowSlot::new(Rc::clone(&self.window), 1));
-        self.pending.borrow_mut().insert(req_id, Rc::clone(&state));
-        self.stats.borrow_mut().issued += 1;
-
-        let payload = req.encode();
-        match self.txs[server].send(payload).await {
-            Ok(ticket) => {
-                state.borrow_mut().sent_at = Some(ticket.sent_at());
-                if wait_sent {
-                    ticket.wait_sent().await;
-                    let mut s = state.borrow_mut();
-                    s.sent = true;
-                    s.notify.notify_waiters();
+        // Send-queue depth: one frame slot, released when the op lands.
+        let slot = self.reqs.acquire_slot(1).await;
+        let h = self.reqs.register(&req, issued_at, Some(slot));
+        let Some((engine, key)) = direct else {
+            return match self.txs[server].send(req.encode()).await {
+                Ok(ticket) => {
+                    h.state.borrow_mut().sent_at = Some(ticket.sent_at());
+                    if wait_sent {
+                        ticket.wait_sent().await;
+                        h.state.borrow_mut().mark_sent();
+                    }
+                    Ok(h)
                 }
-                Ok(ReqHandle {
-                    sim: self.sim.clone(),
-                    state,
-                    req_id,
-                    pending: Rc::clone(&self.pending),
-                })
-            }
-            Err(_) => {
-                self.pending.borrow_mut().remove(&req_id);
-                if let Some(slot) = state.borrow_mut().slot.take() {
-                    slot.member_done();
+                Err(_) => {
+                    self.reqs.forget(h.req_id);
+                    Err(ClientError::Disconnected)
                 }
-                Err(ClientError::Disconnected)
-            }
-        }
-    }
-
-    /// Non-blocking direct GET: issue the one-sided read in the background
-    /// and return a [`ReqHandle`] immediately (`iget`/`bget` semantics).
-    /// The key never touches the wire on the direct path, so the buffers
-    /// are reusable at once; a fallback clones the key into an ordinary
-    /// RPC under the same request id, which the progress task completes
-    /// through the normal machinery.
-    async fn issue_direct_get(
-        &self,
-        server: usize,
-        engine: Rc<DirectReadEngine>,
-        key: Bytes,
-        flavor: ApiFlavor,
-    ) -> Result<ReqHandle, ClientError> {
-        let issue_start = self.sim.now();
-        if !self.cfg.costs.client_issue.is_zero() {
-            self.sim.sleep(self.cfg.costs.client_issue).await;
-        }
-        self.window.acquire().await;
-        let req_id = self.alloc_req_id();
-        let state = ReqState::new(issue_start);
-        {
-            let mut s = state.borrow_mut();
-            s.slot = Some(WindowSlot::new(Rc::clone(&self.window), 1));
-            s.sent = true; // no wire send: buffers reusable immediately
-        }
-        self.pending.borrow_mut().insert(req_id, Rc::clone(&state));
-        self.stats.borrow_mut().issued += 1;
-
-        let sim = self.sim.clone();
-        let pending = Rc::clone(&self.pending);
-        let stats = Rc::clone(&self.stats);
-        let tx = self.txs[server].clone();
-        let costs = self.cfg.costs;
-        let task_state = Rc::clone(&state);
+            };
+        };
+        // The key never touches the wire on the direct path, so the
+        // buffers are reusable at once.
+        h.state.borrow_mut().sent = true;
+        let (reqs, state, req_id) = (Rc::clone(&self.reqs), Rc::clone(&h.state), h.req_id);
+        let (tx, costs) = (self.txs[server].clone(), self.cfg.costs);
         self.sim.spawn(async move {
             let outcome = engine.read(&key).await;
             engine.note(&outcome);
-            match outcome {
-                DirectOutcome::Hit { value, flags } => {
-                    let cost = costs.memcpy(value.len());
-                    if !cost.is_zero() {
-                        sim.sleep(cost).await;
-                    }
-                    let resp = Response::Get {
-                        req_id,
-                        status: OpStatus::Hit,
-                        stages: StageTimes {
-                            served_from: ServedFrom::Ram,
-                            ..StageTimes::default()
-                        },
-                        flags,
-                        cas: 0,
-                        value: Some(value),
-                    };
-                    complete_direct(&sim, &pending, &stats, resp);
+            if let DirectOutcome::Hit { value, flags } = outcome {
+                let cost = costs.memcpy(value.len());
+                if !cost.is_zero() {
+                    reqs.sim.sleep(cost).await;
                 }
-                _ => {
-                    task_state.borrow_mut().direct_fallback = true;
-                    let req = Request::Get {
-                        req_id,
-                        flavor,
-                        key,
-                    };
-                    match tx.send(req.encode()).await {
-                        Ok(ticket) => {
-                            task_state.borrow_mut().sent_at = Some(ticket.sent_at());
-                        }
-                        Err(_) => {
-                            // Connection gone mid-fallback: surface an
-                            // error completion instead of a hang.
-                            let resp = Response::Get {
-                                req_id,
-                                status: OpStatus::Error,
-                                stages: StageTimes::default(),
-                                flags: 0,
-                                cas: 0,
-                                value: None,
-                            };
-                            complete_direct(&sim, &pending, &stats, resp);
-                        }
-                    }
+                reqs.land(Response::Get {
+                    req_id,
+                    status: OpStatus::Hit,
+                    stages: StageTimes {
+                        served_from: ServedFrom::Ram,
+                        ..StageTimes::default()
+                    },
+                    flags,
+                    cas: 0,
+                    value: Some(value),
+                });
+            } else if reqs.is_pending(req_id) {
+                // Fall back to RPC — unless the op was cancelled meanwhile,
+                // when the server's answer could only be an orphan.
+                state.borrow_mut().direct_fallback = true;
+                match tx.send(req.encode()).await {
+                    Ok(ticket) => state.borrow_mut().sent_at = Some(ticket.sent_at()),
+                    Err(_) => reqs.fail(req_id),
                 }
             }
         });
-        Ok(ReqHandle {
-            sim: self.sim.clone(),
-            state,
-            req_id,
-            pending: Rc::clone(&self.pending),
-        })
-    }
-
-    fn alloc_req_id(&self) -> u64 {
-        let id = self.next_id.get();
-        self.next_id.set(id + 1);
-        id
+        Ok(h)
     }
 
     // -- resilience engine --------------------------------------------------
@@ -1048,23 +856,23 @@ impl Client {
     ) -> Result<Completion, ClientError> {
         let pol = self.cfg.resilience;
         let max_attempts = pol.max_attempts.max(1);
-        let mut backoff = pol.backoff(self.next_id.get());
+        let mut backoff = pol.backoff(self.reqs.peek_id());
         let (mut timeouts, mut unavailable, mut server_errors) = (0u32, 0u32, 0u32);
         for attempt in 0..max_attempts {
             if attempt > 0 {
-                self.stats.borrow_mut().retries += 1;
+                self.reqs.stats.borrow_mut().retries += 1;
                 let delay = backoff.next_delay();
                 if !delay.is_zero() {
                     self.sim.sleep(delay).await;
                 }
             }
             let Some(server) = self.route(&rs) else {
-                self.stats.borrow_mut().breaker_rejections += 1;
+                self.reqs.stats.borrow_mut().breaker_rejections += 1;
                 unavailable += 1;
                 continue;
             };
             self.note_replica_route(&rs, server, is_read);
-            let h = match self.post(server, make(self.alloc_req_id()), false).await {
+            let h = match self.issue(server, make(self.reqs.alloc_id()), false).await {
                 Ok(h) => h,
                 Err(_) => {
                     self.note_failure(server);
@@ -1107,85 +915,47 @@ impl Client {
         hedge_ok: bool,
         make: &dyn Fn(u64) -> Request,
     ) -> Option<Completion> {
+        let mut limit = pol.deadline;
         // Hedged path: wait `hedge_after` on the primary, then race a
-        // duplicate posted to the next server in the route order.
-        if hedge_ok {
-            if let Some(hedge_after) = pol.hedge_after {
-                if pol.deadline.is_none_or(|d| hedge_after < d) {
-                    if let Ok(c) = nbkv_simrt::timeout(&self.sim, hedge_after, h.wait()).await {
-                        self.note_success(server);
-                        return Some(c);
-                    }
-                    let remaining = pol.deadline.map(|d| d.saturating_sub(hedge_after));
-                    if let Some(hs) = self.route_hedge(rs, server) {
-                        if let Ok(h2) = self.post(hs, make(self.alloc_req_id()), false).await {
-                            self.stats.borrow_mut().hedges += 1;
-                            let raced = race_waits(h, &h2);
-                            let res = match remaining {
-                                Some(rem) => nbkv_simrt::timeout(&self.sim, rem, raced).await,
-                                None => Ok(raced.await),
-                            };
-                            return match res {
-                                Ok((c, from_primary)) => {
-                                    if from_primary {
-                                        h2.cancel();
-                                        self.note_success(server);
-                                    } else {
-                                        h.cancel();
-                                        self.note_success(hs);
-                                    }
-                                    Some(c)
-                                }
-                                Err(_) => {
-                                    h.cancel();
-                                    h2.cancel();
-                                    self.note_timeout(server);
-                                    self.note_failure(hs);
-                                    None
-                                }
-                            };
-                        }
-                    }
-                    // No hedge target: run out the rest of the deadline.
-                    return match remaining {
-                        Some(rem) => match nbkv_simrt::timeout(&self.sim, rem, h.wait()).await {
-                            Ok(c) => {
-                                self.note_success(server);
-                                Some(c)
-                            }
-                            Err(_) => {
-                                h.cancel();
-                                self.note_timeout(server);
-                                None
-                            }
-                        },
-                        None => {
-                            let c = h.wait().await;
-                            self.note_success(server);
+        // duplicate issued to the next server in the route order.
+        let hedge_after = pol
+            .hedge_after
+            .filter(|&after| hedge_ok && pol.deadline.is_none_or(|d| after < d));
+        if let Some(after) = hedge_after {
+            if let Ok(c) = nbkv_simrt::timeout(&self.sim, after, h.wait()).await {
+                self.note_success(server);
+                return Some(c);
+            }
+            limit = pol.deadline.map(|d| d.saturating_sub(after));
+            if let Some(hs) = self.route_hedge(rs, server) {
+                if let Ok(h2) = self.issue(hs, make(self.reqs.alloc_id()), false).await {
+                    self.reqs.stats.borrow_mut().hedges += 1;
+                    return match within(&self.sim, limit, race_waits(h, &h2)).await {
+                        Some((c, from_primary)) => {
+                            let (loser, winner) =
+                                if from_primary { (&h2, server) } else { (h, hs) };
+                            loser.cancel();
+                            self.note_success(winner);
                             Some(c)
+                        }
+                        None => {
+                            h.cancel();
+                            h2.cancel();
+                            self.note_timeout(server);
+                            self.note_failure(hs);
+                            None
                         }
                     };
                 }
             }
+            // No hedge target: run out the rest of the deadline.
         }
-        match pol.deadline {
-            None => {
-                let c = h.wait().await;
-                self.note_success(server);
-                Some(c)
-            }
-            Some(d) => match nbkv_simrt::timeout(&self.sim, d, h.wait()).await {
-                Ok(c) => {
-                    self.note_success(server);
-                    Some(c)
-                }
-                Err(_) => {
-                    h.cancel();
-                    self.note_timeout(server);
-                    None
-                }
-            },
+        let c = wait_within(h, limit).await;
+        match c {
+            Some(_) => self.note_success(server),
+            None => self.note_timeout(server),
         }
+        c
     }
 
     /// Build the routing order for a key: its replica set (primary first)
@@ -1225,23 +995,25 @@ impl Client {
     /// Non-blocking issue target: the first replica whose breaker allows
     /// traffic (falling back to the head of the order when every replica
     /// breaker is open — the send then fails fast or times out).
-    fn pick_live(&self, rs: &RouteSet) -> usize {
-        if self.cfg.resilience.breaker.is_none() {
-            return rs.order[0];
-        }
+    fn pick_live(&self, rs: &RouteSet, is_read: bool) -> usize {
         let now = self.sim.now();
-        rs.order[..rs.replicas]
-            .iter()
-            .copied()
-            .find(|&s| self.breakers[s].allows(now))
-            .unwrap_or(rs.order[0])
+        let server = match self.cfg.resilience.breaker {
+            None => rs.order[0],
+            Some(_) => rs.order[..rs.replicas]
+                .iter()
+                .copied()
+                .find(|&s| self.breakers[s].allows(now))
+                .unwrap_or(rs.order[0]),
+        };
+        self.note_replica_route(rs, server, is_read);
+        server
     }
 
     /// Count a routed attempt that landed on a non-primary replica
     /// (failover promotion for writes, replica read for reads).
     fn note_replica_route(&self, rs: &RouteSet, server: usize, is_read: bool) {
         if server != rs.primary && rs.order[..rs.replicas].contains(&server) {
-            let mut st = self.stats.borrow_mut();
+            let mut st = self.reqs.stats.borrow_mut();
             if is_read {
                 st.replica_reads += 1;
             } else {
@@ -1289,7 +1061,7 @@ impl Client {
     }
 
     fn note_timeout(&self, server: usize) {
-        self.stats.borrow_mut().timeouts += 1;
+        self.reqs.stats.borrow_mut().timeouts += 1;
         self.note_failure(server);
     }
 }
@@ -1313,39 +1085,28 @@ fn race_waits<'a>(
     })
 }
 
-/// Complete a direct-path request locally (hit or failed fallback send):
-/// the synthetic response lands on the pending op exactly as a wire
-/// response would via the progress task.
-fn complete_direct(sim: &Sim, pending: &Pending, stats: &Rc<RefCell<ClientStats>>, resp: Response) {
-    let state = pending.borrow_mut().remove(&resp.req_id());
-    match state {
-        Some(state) => {
-            let slot = {
-                let mut s = state.borrow_mut();
-                s.response = Some(resp);
-                s.done = true;
-                s.sent = true;
-                s.completed_at = Some(sim.now());
-                s.notify.notify_waiters();
-                s.slot.take()
-            };
-            if let Some(slot) = slot {
-                slot.member_done();
-            }
-            stats.borrow_mut().completed += 1;
-        }
-        None => {
-            stats.borrow_mut().orphans += 1;
-        }
+/// Run `fut` for at most `limit` of virtual time (forever when `None`).
+async fn within<T>(sim: &Sim, limit: Option<Duration>, fut: impl Future<Output = T>) -> Option<T> {
+    match limit {
+        Some(d) => nbkv_simrt::timeout(sim, d, fut).await.ok(),
+        None => Some(fut.await),
     }
+}
+
+/// Wait for `h` for at most `limit`; when the time runs out the handle is
+/// cancelled (its window slot reclaimed) and the result is `None`.
+async fn wait_within(h: &ReqHandle, limit: Option<Duration>) -> Option<Completion> {
+    let c = within(&h.reqs.sim, limit, h.wait()).await;
+    if c.is_none() {
+        h.cancel();
+    }
+    c
 }
 
 /// Per-connection completion engine.
 struct ProgressTask {
-    sim: Sim,
     rx: TransportRx,
-    pending: Pending,
-    stats: Rc<RefCell<ClientStats>>,
+    reqs: Rc<InFlight>,
     costs: CpuCosts,
     /// This connection's one-sided engine, fed the server's queue-depth
     /// hint and observed RPC GET latencies for the adaptive policy.
@@ -1374,55 +1135,29 @@ impl ProgressTask {
     }
 
     /// Complete one member response: copy a fetched value into the user's
-    /// buffer (iget semantics), match it to its pending op, and release
-    /// the op's share of the carrying frame's window slot.
+    /// buffer (iget semantics), then land it on its pending op.
     async fn complete_one(&self, resp: Response) {
-        // No client request produces a replication ack, so one must not
-        // land on a pending op whatever its `req_id`: it is an orphan.
-        // (Batch frames never get here: `run` fans them out, and decode
-        // rejects nested ones.)
-        if matches!(resp, Response::ReplAck { .. }) {
-            self.stats.borrow_mut().orphans += 1;
-            return;
-        }
+        let sim = &self.reqs.sim;
         if let Response::Get { value: Some(v), .. } = &resp {
             let cost = self.costs.memcpy(v.len());
             if !cost.is_zero() {
-                self.sim.sleep(cost).await;
+                sim.sleep(cost).await;
             }
         }
-        if let Some(direct) = &self.direct {
-            direct.observe_queue_depth(resp.stages().queue_depth);
-        }
+        let Some(direct) = &self.direct else {
+            self.reqs.land(resp);
+            return;
+        };
+        direct.observe_queue_depth(resp.stages().queue_depth);
         let is_get = matches!(resp, Response::Get { .. });
-        let state = self.pending.borrow_mut().remove(&resp.req_id());
-        match state {
-            Some(state) => {
-                let (slot, issued_at, fallback) = {
-                    let mut s = state.borrow_mut();
-                    s.response = Some(resp);
-                    s.done = true;
-                    s.sent = true;
-                    s.completed_at = Some(self.sim.now());
-                    s.notify.notify_waiters();
-                    (s.slot.take(), s.issued_at, s.direct_fallback)
-                };
-                if let Some(slot) = slot {
-                    slot.member_done();
-                }
-                // Feed the adaptive policy's RPC-latency EWMA. Fallback
-                // completions are excluded: their latency includes the
-                // failed direct attempt and would bias the signal.
-                if is_get && !fallback {
-                    if let Some(direct) = &self.direct {
-                        let latency = self.sim.now().saturating_since(issued_at).as_nanos() as u64;
-                        direct.observe_rpc_latency(latency);
-                    }
-                }
-                self.stats.borrow_mut().completed += 1;
-            }
-            None => {
-                self.stats.borrow_mut().orphans += 1;
+        // Feed the adaptive policy's RPC-latency EWMA. Fallback completions
+        // are excluded: their latency includes the failed direct attempt
+        // and would bias the signal.
+        if let Some(state) = self.reqs.land(resp).filter(|_| is_get) {
+            let s = state.borrow();
+            if !s.direct_fallback {
+                let latency = sim.now().saturating_since(s.issued_at).as_nanos() as u64;
+                direct.observe_rpc_latency(latency);
             }
         }
     }

@@ -400,6 +400,21 @@ impl Request {
         }
     }
 
+    /// Wire opcode of the [`Response`] kind that answers this request:
+    /// Set/Touch → `Set`, Get/Stats/WindowLease → `Get`, Delete →
+    /// `Delete`, Counter → `Counter`. The client holds every response to
+    /// it.
+    pub(crate) fn response_opcode(&self) -> u8 {
+        match self {
+            Request::Set { .. } | Request::Touch { .. } => 129,
+            Request::Get { .. } | Request::Stats { .. } | Request::WindowLease { .. } => 130,
+            Request::Delete { .. } => 131,
+            Request::Counter { .. } => 132,
+            Request::Batch { .. } => 133,
+            Request::Replicate { .. } => 134,
+        }
+    }
+
     /// Exact encoded size in bytes (excluding fabric frame overhead) —
     /// what the client's coalescing queue uses for its byte threshold
     /// without encoding twice.
@@ -625,7 +640,7 @@ impl Request {
                 if count == 0 {
                     return Err(ProtoError::EmptyBatch);
                 }
-                let mut ops = Vec::with_capacity(count);
+                let mut ops = Vec::with_capacity(r.max_members(count));
                 for _ in 0..count {
                     let len = r.u32()? as usize;
                     let wire = r.take(len)?;
@@ -795,6 +810,50 @@ impl Response {
         }
     }
 
+    /// Wire opcode (the first byte of the encoded frame).
+    pub(crate) fn opcode(&self) -> u8 {
+        match self {
+            Response::Set { .. } => 129,
+            Response::Get { .. } => 130,
+            Response::Delete { .. } => 131,
+            Response::Counter { .. } => 132,
+            Response::Batch { .. } => 133,
+            Response::ReplAck { .. } => 134,
+        }
+    }
+
+    /// An unstamped `Error` answer to `req_id` of the kind `opcode` names
+    /// (one of the four client-facing kinds; anything else is a `Set`).
+    pub(crate) fn error(opcode: u8, req_id: u64) -> Response {
+        let (status, stages) = (OpStatus::Error, StageTimes::default());
+        match opcode {
+            130 => Response::Get {
+                req_id,
+                status,
+                stages,
+                flags: 0,
+                cas: 0,
+                value: None,
+            },
+            131 => Response::Delete {
+                req_id,
+                status,
+                stages,
+            },
+            132 => Response::Counter {
+                req_id,
+                status,
+                stages,
+                value: 0,
+            },
+            _ => Response::Set {
+                req_id,
+                status,
+                stages,
+            },
+        }
+    }
+
     /// The server stage timings. A batch frame carries no frame-level
     /// stamps (each member has its own); it reports the default (unstamped)
     /// [`StageTimes`].
@@ -902,7 +961,7 @@ impl Response {
             if count == 0 {
                 return Err(ProtoError::EmptyBatch);
             }
-            let mut responses = Vec::with_capacity(count);
+            let mut responses = Vec::with_capacity(r.max_members(count));
             for _ in 0..count {
                 let len = r.u32()? as usize;
                 let wire = r.take(len)?;
@@ -1131,6 +1190,13 @@ impl<'a> Reader<'a> {
         a.copy_from_slice(&self.buf[self.pos..self.pos + 8]);
         self.pos += 8;
         Ok(u64::from_be_bytes(a))
+    }
+
+    /// Capacity for `count` batch members: never more than the unread
+    /// bytes could hold (each member has a 4-byte length prefix), so a
+    /// corrupt count cannot demand a huge allocation.
+    fn max_members(&self, count: usize) -> usize {
+        count.min((self.buf.len() - self.pos) / 4)
     }
 
     fn take(&mut self, n: usize) -> Result<Bytes, ProtoError> {

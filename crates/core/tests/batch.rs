@@ -179,6 +179,7 @@ fn window_hwm_never_exceeds_max_outstanding() {
 /// frame is answered with the responses `reply` builds for it, in order.
 fn client_of_fake_server(
     sim: &Sim,
+    cfg: ClientConfig,
     reply: impl Fn(&Request) -> Vec<Response> + 'static,
 ) -> Rc<Client> {
     let fabric = Fabric::new(sim, nbkv_fabric::profiles::fdr_rdma());
@@ -194,7 +195,7 @@ fn client_of_fake_server(
             }
         }
     });
-    Client::new(sim, vec![client_side], ClientConfig::default())
+    Client::new(sim, vec![client_side], cfg)
 }
 
 /// A `Get` hit answering `req` with `value` as its payload.
@@ -234,7 +235,9 @@ fn server_stats_malformed_payload_is_an_error() {
         )),
     ] {
         let sim = Sim::new();
-        let client = client_of_fake_server(&sim, move |req| vec![get_hit(req, garbage.clone())]);
+        let client = client_of_fake_server(&sim, ClientConfig::default(), move |req| {
+            vec![get_hit(req, garbage.clone())]
+        });
         sim.run_until(async move {
             let err = client.server_stats(0).await.unwrap_err();
             assert_eq!(err, ClientError::BadResponse);
@@ -317,7 +320,7 @@ fn server_stats_round_trips_every_field() {
     };
     let payload = Bytes::from(snapshot.to_json_value().render_compact());
     let sim = Sim::new();
-    let client = client_of_fake_server(&sim, move |req| {
+    let client = client_of_fake_server(&sim, ClientConfig::default(), move |req| {
         assert!(matches!(req, Request::Stats { .. }), "{req:?}");
         vec![get_hit(req, Some(payload.clone()))]
     });
@@ -327,28 +330,96 @@ fn server_stats_round_trips_every_field() {
     sim.shutdown();
 }
 
-/// Regression: a stray `ReplAck` whose `req_id` matches a pending `iget`
-/// is dropped as an orphan instead of completing the op (it used to reach
-/// `unreachable!` and panic). The real response still completes the op.
+/// Responses are type-checked against the request kind: a stray response
+/// whose `req_id` matches a pending `iget` but whose kind is not `Get` is
+/// an orphan, not the op's completion. A `ReplAck` used to reach
+/// `unreachable!` and panic; a `Counter` used to complete the `iget` with
+/// no value. The real response still completes the op.
 #[test]
-fn stray_repl_ack_is_an_orphan_not_a_completion() {
-    let sim = Sim::new();
-    let client = client_of_fake_server(&sim, |req| {
-        let stray = Response::ReplAck {
-            req_id: req.req_id(),
+fn stray_response_kinds_are_orphans_not_completions() {
+    let strays: [fn(u64) -> Response; 2] = [
+        |req_id| Response::ReplAck {
+            req_id,
             status: OpStatus::Stored,
             stages: StageTimes::default(),
             seq: 1,
-        };
-        vec![stray, get_hit(req, Some(value(3)))]
-    });
+        },
+        |req_id| Response::Counter {
+            req_id,
+            status: OpStatus::Stored,
+            stages: StageTimes::default(),
+            value: 7,
+        },
+    ];
+    for stray in strays {
+        let sim = Sim::new();
+        let client = client_of_fake_server(&sim, ClientConfig::default(), move |req| {
+            vec![stray(req.req_id()), get_hit(req, Some(value(3)))]
+        });
+        sim.run_until(async move {
+            let done = client.iget(key(3)).await.unwrap().wait().await;
+            assert_eq!(done.status, OpStatus::Hit);
+            assert_eq!(done.value, Some(value(3)));
+            let stats = client.stats();
+            assert_eq!(stats.orphans, 1);
+            assert_eq!(stats.completed, 1);
+        });
+        sim.shutdown();
+    }
+}
+
+/// A batch frame whose send fails (the server half of the only connection
+/// is gone) completes every member with an error, and each member counts
+/// as completed like every other error completion.
+#[test]
+fn batch_send_failure_completes_and_counts_every_member() {
+    let sim = Sim::new();
+    let fabric = Fabric::new(&sim, nbkv_fabric::profiles::fdr_rdma());
+    let (client_side, server_side) = fabric.connect();
+    drop(server_side);
+    let cfg = ClientConfig {
+        batch: Some(BatchPolicy::default()),
+        ..ClientConfig::default()
+    };
+    let client = Client::new(&sim, vec![client_side], cfg);
     sim.run_until(async move {
-        let done = client.iget(key(3)).await.unwrap().wait().await;
-        assert_eq!(done.status, OpStatus::Hit);
-        assert_eq!(done.value, Some(value(3)));
+        let get = client.iget(key(1)).await.unwrap();
+        let set = client.iset(key(2), value(2), 0, None).await.unwrap();
+        client.flush_batches();
+        for h in [get, set] {
+            assert_eq!(h.wait().await.status, OpStatus::Error);
+        }
         let stats = client.stats();
-        assert_eq!(stats.orphans, 1);
-        assert_eq!(stats.completed, 1);
+        assert_eq!((stats.issued, stats.completed), (2, 2));
+        assert_eq!(stats.orphans, 0);
+        assert_eq!(client.outstanding(), 0);
+    });
+    sim.shutdown();
+}
+
+/// A member cancelled while its frame pays the issue charge gets no share
+/// of the frame's window slot, so the permit comes back and later ops can
+/// still issue (the share used to leak, wedging a one-slot window).
+#[test]
+fn member_cancelled_mid_flush_returns_its_window_share() {
+    let sim = Sim::new();
+    let cfg = ClientConfig {
+        max_outstanding: 1,
+        batch: Some(BatchPolicy::default()),
+        ..ClientConfig::default()
+    };
+    let client = client_of_fake_server(&sim, cfg, |req| vec![get_hit(req, None)]);
+    let sim2 = sim.clone();
+    sim.run_until(async move {
+        let h = client.iget(key(0)).await.unwrap();
+        client.flush_batches();
+        // The flush is now paying its 400 ns issue charge.
+        sim2.sleep(Duration::from_nanos(100)).await;
+        assert!(h.cancel());
+        let next = async { client.iget(key(1)).await.unwrap().wait().await };
+        let done = nbkv_simrt::timeout(&sim2, Duration::from_millis(1), next).await;
+        assert_eq!(done.expect("window permit leaked").status, OpStatus::Hit);
+        assert_eq!(client.stats().orphans, 1);
     });
     sim.shutdown();
 }

@@ -174,11 +174,51 @@ fn dropped_read_completions_fall_back_within_the_deadline() {
                 sim2.now().saturating_since(t0) <= Duration::from_millis(2),
                 "fallback exceeded the deadline"
             );
+            // The reported latency covers the lost direct attempt: at
+            // least the engine's read timeout (deadline / 8 = 250 us), not
+            // just the fallback RPC.
+            assert!(
+                g.latency_ns() >= 250_000,
+                "latency {} ns hides the direct attempt",
+                g.latency_ns()
+            );
         }
         let stats = client.stats();
         assert!(stats.direct_lost >= 8, "losses accounted: {stats:?}");
         assert_eq!(stats.timeouts, 0, "RPC fallback never timed out");
         assert_eq!(client.outstanding(), 0, "nothing leaked");
+    });
+}
+
+/// A direct read whose op was cancelled before the read gave up sends no
+/// fallback RPC: the server would do the work only for an orphan answer.
+#[test]
+fn cancelled_direct_read_sends_no_fallback() {
+    let sim = Sim::new();
+    let cfg = direct_cfg(Design::HRdmaOptNonBI, 16 << 20, DirectPolicy::Always);
+    let cluster = build_cluster(&sim, &cfg);
+    let client = Rc::clone(&cluster.clients[0]);
+    let server = Rc::clone(&cluster.servers[0]);
+    let sim2 = sim.clone();
+    sim.run_until(async move {
+        let k = Bytes::from_static(b"k");
+        client
+            .set(k.clone(), Bytes::from_static(b"v"), 0, None)
+            .await
+            .unwrap();
+        // Warm the lease, then kill every one-sided completion.
+        assert_eq!(client.get(k.clone()).await.unwrap().status, OpStatus::Hit);
+        client.set_onesided_faults(Some(FaultPlan::drops(7, 1.0)));
+        let requests = server.stats().requests;
+        let h = client.iget(k).await.unwrap();
+        // Far shorter than the engine's read timeout (deadline / 8).
+        assert!(h.wait_timeout(Duration::from_micros(20)).await.is_err());
+        sim2.sleep(Duration::from_millis(200)).await;
+        let stats = client.stats();
+        assert_eq!(stats.direct_lost, 1, "{stats:?}");
+        assert_eq!(stats.orphans, 0, "{stats:?}");
+        assert_eq!(server.stats().requests, requests, "no fallback RPC sent");
+        assert_eq!(client.outstanding(), 0);
     });
 }
 

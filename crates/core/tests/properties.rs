@@ -235,3 +235,30 @@ proptest! {
         }
     }
 }
+
+/// A batch frame whose member count is corrupt (far more members than the
+/// frame's bytes could hold) is a decode error, not an allocation abort.
+#[test]
+fn corrupt_batch_counts_are_errors_not_aborts() {
+    let get = Request::Get {
+        req_id: 1,
+        flavor: ApiFlavor::NonBlockingI,
+        key: Bytes::from_static(b"k"),
+    };
+    let set = Response::Set {
+        req_id: 1,
+        status: OpStatus::NotStored,
+        stages: StageTimes::default(),
+    };
+    let req = Request::batch(7, ApiFlavor::NonBlockingI, vec![get]).unwrap();
+    let resp = Response::batch(7, vec![set]).unwrap();
+    // The count follows opcode, flavor and frame id in a request, and
+    // opcode and frame id in a response.
+    let corrupt = |frame: Bytes, at: usize| {
+        let mut wire = frame.to_vec();
+        wire[at..at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+        Bytes::from(wire)
+    };
+    assert!(Request::decode(&corrupt(req.encode(), 10)).is_err());
+    assert!(Response::decode(&corrupt(resp.encode(), 9)).is_err());
+}
