@@ -70,7 +70,7 @@ fn bench_slab() {
     let class = pool.class_for(1024).expect("class");
     bench("slab/alloc_write_free_cycle", || {
         let id = pool.try_alloc(class).expect("alloc");
-        pool.write_item(id, b"bench-key", &[7u8; 900], 0, 0);
+        pool.write_item(id, b"bench-key", &[7u8; 900], 0, 0, None);
         pool.free_chunk(id);
         id
     });

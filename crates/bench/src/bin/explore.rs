@@ -84,7 +84,6 @@ fn main() {
             Some("adaptive") => nbkv_core::DirectPolicy::Adaptive,
             _ => nbkv_core::DirectPolicy::Off,
         },
-        onesided: None,
         replication: nbkv_core::ReplicationConfig::disabled(),
         crash: None,
         resilience: None,

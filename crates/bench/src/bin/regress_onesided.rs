@@ -2,38 +2,33 @@
 //! the RPC / direct / adaptive GET paths whose figure JSON and manifest
 //! are diffed against committed goldens by `scripts/regress.sh`.
 //!
-//! Everything is pinned — sizes, ops, seeds, window geometry — and
+//! Everything is pinned — sizes, ops, seeds — and
 //! independent of `NBKV_SCALE`, so the outputs are byte-identical across
 //! runs of the same tree. Raw nanosecond values are reported so even
-//! one-tick drift in the seqlock read path or the adaptive policy fails
-//! the gate.
+//! one-tick drift in the two-read validation path or the adaptive policy
+//! fails the gate. The RDMA reads and bytes per GET come from the
+//! `client.direct_reads` and `client.direct_read_bytes` counters.
 
 use nbkv_bench::exp::LatencyExp;
 use nbkv_bench::manifest::Manifest;
 use nbkv_bench::table::Table;
 use nbkv_core::designs::Design;
-use nbkv_core::{DirectPolicy, OneSidedConfig};
+use nbkv_core::DirectPolicy;
 use nbkv_workload::OpMix;
 
 const MEM: u64 = 8 << 20;
 const OPS: usize = 600;
 
-/// Pinned small experiment: non-blocking window 64 over one server,
-/// values small enough to publish into the window.
+/// Pinned small experiment: non-blocking window 64 over one server.
 fn small_exp(mix: OpMix, direct: DirectPolicy, data: u64, value_len: usize) -> LatencyExp {
-    let mut e = LatencyExp {
+    LatencyExp {
         value_len,
         mix,
         ops_per_client: OPS,
         window: 64,
         direct,
         ..LatencyExp::single(Design::HRdmaOptNonBI, MEM, data)
-    };
-    e.onesided = Some(OneSidedConfig {
-        buckets: (e.keys() * 4).next_power_of_two(),
-        value_cap: 2048,
-    });
-    e
+    }
 }
 
 /// Exact latencies and direct-path counters per mix/policy, including an
@@ -53,6 +48,8 @@ fn regress_onesided(m: &mut Manifest) -> Table {
             "ssd-fb",
             "lost",
             "flips",
+            "rdma reads/get",
+            "rdma B/get",
         ],
     );
     // (case label, mix, data bytes, value len, policies)
@@ -91,6 +88,8 @@ fn regress_onesided(m: &mut Manifest) -> Table {
             let (r, cluster_reg) = small_exp(mix, direct, data, value_len).run_obs();
             let reg = m.record_report(&format!("{case}/{label}"), &r);
             reg.merge(&cluster_reg);
+            let gets = (r.hits + r.misses).max(1) as f64;
+            let per_get = |name: &str| cluster_reg.counter(name) as f64 / gets;
             t.row(vec![
                 case.to_string(),
                 label.to_string(),
@@ -101,6 +100,8 @@ fn regress_onesided(m: &mut Manifest) -> Table {
                 cluster_reg.counter("client.ssd_fallbacks").to_string(),
                 cluster_reg.counter("client.direct_lost").to_string(),
                 cluster_reg.counter("client.mode_flips").to_string(),
+                format!("{:.2}", per_get("client.direct_reads")),
+                format!("{:.0}", per_get("client.direct_read_bytes")),
             ]);
         }
     }

@@ -24,7 +24,6 @@ fn run_point(design: Design, servers: usize) -> RunReport {
         ssd_capacity: 4 * agg_mem / servers as u64,
         batch: 0,
         direct: nbkv_core::DirectPolicy::Off,
-        onesided: None,
         replication: nbkv_core::ReplicationConfig::disabled(),
         crash: None,
         resilience: None,

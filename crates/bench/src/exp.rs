@@ -68,10 +68,6 @@ pub struct LatencyExp {
     /// One-sided direct-read policy for GETs (servers publish an index
     /// window whenever this is not [`DirectPolicy::Off`]).
     pub direct: DirectPolicy,
-    /// Geometry of the published window (`None` = server default). Lets
-    /// read-heavy figures size buckets to the key count so fingerprint
-    /// collisions do not dominate the direct-hit rate.
-    pub onesided: Option<nbkv_core::OneSidedConfig>,
     /// Primary–replica replication (RF and read-side replica selection).
     /// [`ReplicationConfig::disabled`] keeps every key single-copy.
     pub replication: ReplicationConfig,
@@ -103,7 +99,6 @@ impl LatencyExp {
             ssd_capacity: 16 * mem_bytes,
             batch: 0,
             direct: DirectPolicy::Off,
-            onesided: None,
             replication: ReplicationConfig::disabled(),
             crash: None,
             resilience: None,
@@ -120,7 +115,6 @@ impl LatencyExp {
             cfg.client.batch = Some(nbkv_core::BatchPolicy::default());
         }
         cfg.client.direct = self.direct;
-        cfg.onesided = self.onesided;
         cfg.replication = self.replication;
         if let Some(r) = self.resilience {
             cfg.client.resilience = r;
@@ -267,6 +261,12 @@ pub fn cluster_registry(cluster: &Cluster) -> Registry {
         reg.inc("client.ssd_fallbacks", st.ssd_fallbacks);
         reg.inc("client.direct_lost", st.direct_lost);
         reg.inc("client.mode_flips", st.mode_flips);
+        // Registered only when one-sided reads ran, so runs without them
+        // keep their manifests unchanged.
+        if st.direct_reads > 0 {
+            reg.inc("client.direct_reads", st.direct_reads);
+            reg.inc("client.direct_read_bytes", st.direct_read_bytes);
+        }
         reg.inc("client.replica_reads", st.replica_reads);
         reg.inc("client.promotions", st.promotions);
         let mr = c.mr_stats();

@@ -34,7 +34,6 @@ pub fn run_design(design: Design) -> RunReport {
         ssd_capacity: agg_ssd / SERVERS as u64,
         batch: 0,
         direct: nbkv_core::DirectPolicy::Off,
-        onesided: None,
         replication: nbkv_core::ReplicationConfig::disabled(),
         crash: None,
         resilience: None,

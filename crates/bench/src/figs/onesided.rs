@@ -1,8 +1,8 @@
 //! One-sided GETs — always-RPC vs always-direct vs adaptive switching.
 //!
-//! The server publishes a seqlock-versioned index + value arena as an
-//! RDMA-readable window; clients can then serve a GET with two chained
-//! one-sided reads (descriptor, then value) and never touch the server
+//! The server publishes a descriptor table over its registered slab
+//! pages; clients can then serve a GET with two chained one-sided reads
+//! (descriptor bucket, then the item chunk) and never touch the server
 //! CPU. A direct read costs two full round trips, so it *loses* to an
 //! unloaded RPC (one round trip plus a cheap dispatch) — but under load
 //! the RPC path serializes behind the server's dispatch loop while
@@ -17,7 +17,7 @@
 //! counters.
 
 use nbkv_core::designs::Design;
-use nbkv_core::{DirectPolicy, OneSidedConfig};
+use nbkv_core::DirectPolicy;
 use nbkv_obs::Registry;
 use nbkv_workload::{OpMix, RunReport};
 
@@ -39,24 +39,18 @@ pub fn policy_label(p: DirectPolicy) -> &'static str {
 
 /// The experiment shape: one server, one client, RAM-resident 1 KiB
 /// values, non-blocking window 64 — deep enough that the RPC path queues
-/// behind the server dispatch loop. The published window gets 4 buckets
-/// per key so fingerprint collisions stay off the critical path.
+/// behind the server dispatch loop.
 fn exp(mix: OpMix, direct: DirectPolicy) -> LatencyExp {
     let mem = scaled_bytes(64 << 20);
     let data = scaled_bytes(8 << 20);
-    let mut e = LatencyExp {
+    LatencyExp {
         value_len: 1 << 10,
         mix,
         ops_per_client: scaled_ops(4000),
         window: 64,
         direct,
         ..LatencyExp::single(Design::HRdmaOptNonBI, mem, data)
-    };
-    e.onesided = Some(OneSidedConfig {
-        buckets: (e.keys() * 4).next_power_of_two(),
-        value_cap: 1536,
-    });
-    e
+    }
 }
 
 fn run_case(m: &mut Manifest, mix: OpMix, direct: DirectPolicy) -> (RunReport, Registry) {
@@ -121,10 +115,6 @@ mod tests {
         e.mem_bytes = 8 << 20;
         e.data_bytes = 4 << 20;
         e.ops_per_client = 600;
-        e.onesided = Some(OneSidedConfig {
-            buckets: (e.keys() * 4).next_power_of_two(),
-            value_cap: 1536,
-        });
         e
     }
 

@@ -27,7 +27,7 @@ fn render_once() -> String {
     let reg = m.record_report("batched", &r);
     reg.merge(&cluster_reg);
     // An adaptive one-sided run: lease fetches, chained RDMA reads,
-    // seqlock validation, and EWMA-driven mode flips must replay
+    // version-word validation, and EWMA-driven mode flips must replay
     // bit-for-bit too.
     let mut exp = LatencyExp::single(Design::HRdmaOptNonBI, 8 << 20, 4 << 20);
     exp.ops_per_client = 300;

@@ -1,11 +1,12 @@
 //! The client half of the server-bypass GET path.
 //!
 //! [`DirectReadEngine`] serves GETs with two chained one-sided RDMA
-//! reads against the server's published index window — descriptor, then
-//! value arena slot — validating the key fingerprint and the seqlock
-//! version pair, and falling back to the two-sided RPC path on any
-//! mismatch (stale version, bucket collision, SSD-resident value, or a
-//! lost completion under fault injection).
+//! reads against the server's registered slab window — the key's
+//! descriptor bucket, then the item chunk a slot points at — and accepts
+//! the item only if its version word, its lengths and its full key match.
+//! Anything else falls back to the two-sided RPC path (no slot, a chunk
+//! rewritten or reused since the slot was read, an SSD-resident value, or
+//! a lost completion under fault injection).
 //!
 //! [`DirectPolicy::Adaptive`] implements an RFP-style switch: the engine
 //! tracks an EWMA of observed RPC GET latency plus the server's
@@ -26,8 +27,10 @@ use bytes::Bytes;
 use nbkv_fabric::{FabricProfile, QueuePair};
 use nbkv_simrt::Sim;
 
+use crate::client::runtime::ClientStats;
 use crate::proto::LeaseGeometry;
-use crate::server::onesided::{key_fingerprint, Descriptor, ARENA_HEADER, DESC_SLOT};
+use crate::server::onesided::{key_fingerprint, Descriptor, BUCKET_LEN};
+use crate::server::slab::{parse_versioned_item, ITEM_HEADER, VERSION_WORD};
 
 /// When the client serves GETs with one-sided RDMA reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -47,14 +50,15 @@ pub enum DirectPolicy {
 pub(crate) enum DirectOutcome {
     /// Validated value fetched without touching the server CPU.
     Hit {
-        /// The value bytes (a stable snapshot — seqlock-validated).
+        /// The value bytes, validated against the descriptor.
         value: Bytes,
-        /// The item's user flags from the descriptor.
+        /// The item's user flags from its header.
         flags: u32,
     },
-    /// A writer raced the reads (odd version or version pair mismatch).
+    /// The chunk no longer holds what the descriptor advertised (rewritten,
+    /// freed and reused, or out of the window).
     Stale,
-    /// Bucket empty or owned by a different key; only RPC can answer.
+    /// No slot in the bucket advertises the key; only RPC can answer.
     Miss,
     /// The key's value is SSD-resident; one-sided reads cannot reach it.
     Ssd,
@@ -94,6 +98,8 @@ pub(crate) struct DirectReadEngine {
     ssd_fallbacks: Cell<u64>,
     direct_lost: Cell<u64>,
     mode_flips: Cell<u64>,
+    reads_posted: Cell<u64>,
+    read_bytes: Cell<u64>,
 }
 
 impl DirectReadEngine {
@@ -105,13 +111,14 @@ impl DirectReadEngine {
         dispatch: Duration,
         deadline: Option<Duration>,
     ) -> Self {
-        // Two round trips: descriptor (DESC_SLOT bytes back) + arena slot
-        // (header + a typical small value back). Each read costs request
-        // propagation plus the payload's return serialization+propagation.
+        // Two round trips: the bucket, then the item chunk (header, a
+        // typical key and small value, version word). Each read costs
+        // request propagation plus the payload's return
+        // serialization+propagation.
         let rtt = |bytes: usize| {
             (profile.link.propagation() * 2 + profile.link.serialization(bytes)).as_nanos() as f64
         };
-        let direct_cost_ns = rtt(DESC_SLOT) + rtt(ARENA_HEADER + 512);
+        let direct_cost_ns = rtt(BUCKET_LEN) + rtt(ITEM_HEADER + 16 + 512 + VERSION_WORD);
         let read_timeout = deadline
             .map(|d| d / 8)
             .unwrap_or(Duration::from_micros(500))
@@ -135,6 +142,8 @@ impl DirectReadEngine {
             ssd_fallbacks: Cell::new(0),
             direct_lost: Cell::new(0),
             mode_flips: Cell::new(0),
+            reads_posted: Cell::new(0),
+            read_bytes: Cell::new(0),
         }
     }
 
@@ -220,86 +229,89 @@ impl DirectReadEngine {
         cell.set(cell.get() + 1);
     }
 
-    pub(crate) fn counters(&self) -> (u64, u64, u64, u64, u64) {
-        (
-            self.direct_hits.get(),
-            self.stale_retries.get(),
-            self.ssd_fallbacks.get(),
-            self.direct_lost.get(),
-            self.mode_flips.get(),
-        )
+    /// Add this engine's counters to `st`.
+    pub(crate) fn add_counters(&self, st: &mut ClientStats) {
+        st.direct_hits += self.direct_hits.get();
+        st.stale_retries += self.stale_retries.get();
+        st.ssd_fallbacks += self.ssd_fallbacks.get();
+        st.direct_lost += self.direct_lost.get();
+        st.mode_flips += self.mode_flips.get();
+        st.direct_reads += self.reads_posted.get();
+        st.direct_read_bytes += self.read_bytes.get();
     }
 
-    fn alloc_wr(&self) -> u64 {
-        let id = self.next_wr.get();
-        self.next_wr.set(id + 1);
-        id
+    /// Post one RDMA read and wait for its data. `Err` carries the
+    /// outcome to report: `Lost` for a refused post or a completion that
+    /// never came, `Stale` for a read the window rejected.
+    async fn fetch(&self, offset: usize, len: usize) -> Result<Bytes, DirectOutcome> {
+        let wr = self.next_wr.get();
+        self.next_wr.set(wr + 1);
+        if self.qp.post_rdma_read(wr, offset, len).is_err() {
+            return Err(DirectOutcome::Lost);
+        }
+        self.reads_posted.set(self.reads_posted.get() + 1);
+        self.read_bytes.set(self.read_bytes.get() + len as u64);
+        let wc = nbkv_simrt::timeout(&self.sim, self.read_timeout, self.qp.send_cq().next_for(wr))
+            .await
+            .map_err(|_| DirectOutcome::Lost)?;
+        wc.data.ok_or(DirectOutcome::Stale)
     }
 
-    /// One direct-read attempt: descriptor read, validation, value read,
-    /// seqlock re-validation. Never involves the server CPU.
+    /// One direct-read attempt: bucket read, slot lookup, item read,
+    /// validation. Never involves the server CPU.
     pub(crate) async fn read(&self, key: &[u8]) -> DirectOutcome {
+        match self.try_read(key).await {
+            Ok(outcome) | Err(outcome) => outcome,
+        }
+    }
+
+    async fn try_read(&self, key: &[u8]) -> Result<DirectOutcome, DirectOutcome> {
         let Some(lease) = *self.lease.borrow() else {
-            return DirectOutcome::Miss;
+            return Ok(DirectOutcome::Miss);
         };
         let fp = key_fingerprint(key);
+        let bucket_len = (lease.bucket_slots * lease.slot_len) as usize;
         let bucket = (fp % lease.buckets as u64) as usize;
 
-        // Read 1: the bucket descriptor.
-        let wr = self.alloc_wr();
-        if self
-            .qp
-            .post_rdma_read(wr, bucket * lease.desc_slot as usize, DESC_SLOT)
-            .is_err()
-        {
-            return DirectOutcome::Lost;
-        }
-        let wc =
-            nbkv_simrt::timeout(&self.sim, self.read_timeout, self.qp.send_cq().next_for(wr)).await;
-        let Ok(wc) = wc else {
-            return DirectOutcome::Lost;
+        // Read 1: the key's bucket.
+        let slots = self
+            .fetch(
+                lease.table_offset as usize + bucket * bucket_len,
+                bucket_len,
+            )
+            .await?;
+        let found = slots
+            .chunks_exact(lease.slot_len as usize)
+            .filter_map(Descriptor::decode)
+            .find(|d| d.advertises(fp));
+        let Some(desc) = found else {
+            return Ok(DirectOutcome::Miss);
         };
-        let Some(desc) = wc.data.as_deref().and_then(Descriptor::decode) else {
-            return DirectOutcome::Stale;
-        };
-        if desc.version == 0 || desc.fingerprint != fp {
-            return DirectOutcome::Miss;
-        }
-        if desc.version % 2 == 1 {
-            return DirectOutcome::Stale; // writer mid-update
-        }
         if !desc.in_ram {
-            return DirectOutcome::Ssd;
-        }
-        let len = desc.len as usize;
-        if len + ARENA_HEADER > lease.arena_slot as usize {
-            return DirectOutcome::Stale; // descriptor torn beyond repair
+            return Ok(DirectOutcome::Ssd);
         }
 
-        // Read 2: the arena slot (version copy + value bytes).
-        let wr = self.alloc_wr();
-        if self
-            .qp
-            .post_rdma_read(wr, desc.offset as usize, ARENA_HEADER + len)
-            .is_err()
-        {
-            return DirectOutcome::Lost;
-        }
-        let wc =
-            nbkv_simrt::timeout(&self.sim, self.read_timeout, self.qp.send_cq().next_for(wr)).await;
-        let Ok(wc) = wc else {
-            return DirectOutcome::Lost;
-        };
-        let Some(data) = wc.data else {
-            return DirectOutcome::Stale;
-        };
-        let version_copy = u64::from_be_bytes(data[..ARENA_HEADER].try_into().expect("8B header"));
-        if version_copy != desc.version {
-            return DirectOutcome::Stale; // writer landed between the reads
-        }
-        DirectOutcome::Hit {
-            value: data.slice(ARENA_HEADER..ARENA_HEADER + len),
-            flags: desc.flags,
+        // Read 2: the item chunk — header, key, value, version word.
+        let (klen, vlen) = (key.len(), desc.len as usize);
+        let item = self
+            .fetch(
+                desc.offset as usize,
+                ITEM_HEADER + klen + vlen + VERSION_WORD,
+            )
+            .await?;
+        // Validate, in order: the version word the slot advertised, the
+        // lengths, then the full key (so a fingerprint collision cannot
+        // return another key's value).
+        match parse_versioned_item(&item) {
+            Some(item)
+                if item.version == desc.version && item.value.len() == vlen && item.key == key =>
+            {
+                Ok(DirectOutcome::Hit {
+                    value: item.value,
+                    flags: item.flags,
+                })
+            }
+            _ => Ok(DirectOutcome::Stale),
         }
     }
 }
@@ -307,21 +319,81 @@ impl DirectReadEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::onesided::{OneSidedConfig, OneSidedIndex};
+    use std::collections::HashMap;
+
+    use crate::server::onesided::{OneSidedIndex, BUCKET_SLOTS, SLOT_LEN};
+    use crate::server::slab::{SlabConfig, SlabPool};
     use nbkv_fabric::profiles::fdr_rdma;
     use nbkv_fabric::FaultPlan;
     use proptest::prelude::*;
 
-    fn rig(policy: DirectPolicy) -> (Sim, Rc<OneSidedIndex>, Rc<DirectReadEngine>, Rc<QueuePair>) {
+    /// The server side of a store, cut down to what the one-sided path
+    /// sees: a 16 MiB slab pool, its descriptor table, and each key's live
+    /// chunk. Freed chunks are reused last-in first-out, as in the store.
+    struct Server {
+        pool: RefCell<SlabPool>,
+        idx: OneSidedIndex,
+        live: RefCell<HashMap<Vec<u8>, u64>>,
+        version: Cell<u64>,
+    }
+
+    impl Server {
+        fn new() -> Self {
+            let pool = SlabPool::new(SlabConfig::with_mem(16 << 20));
+            let idx = OneSidedIndex::new(pool.window().clone(), pool.table_offset());
+            Server {
+                pool: RefCell::new(pool),
+                idx,
+                live: RefCell::default(),
+                version: Cell::new(1),
+            }
+        }
+
+        /// Store and publish `key` in a fresh chunk; free its old one.
+        fn put(&self, key: &[u8], value: &[u8], flags: u32) {
+            let mut pool = self.pool.borrow_mut();
+            let need = SlabPool::item_len(key.len(), value.len()) + VERSION_WORD;
+            let class = pool.class_for(need).unwrap();
+            let id = pool.try_alloc(class).unwrap();
+            let v = self.version.get();
+            self.version.set(v + 1);
+            pool.write_item(id, key, value, flags, 0, Some(v));
+            self.idx.publish(key, pool.chunk_offset(id), value.len(), v);
+            if let Some(old) = self.live.borrow_mut().insert(key.to_vec(), id) {
+                pool.free_chunk(old);
+            }
+        }
+
+        /// Delete `key`: invalidate, then free its chunk.
+        fn delete(&self, key: &[u8]) {
+            self.idx.invalidate(key);
+            if let Some(id) = self.live.borrow_mut().remove(key) {
+                self.pool.borrow_mut().free_chunk(id);
+            }
+        }
+
+        /// Flush `key` to SSD: mark its slot, then free its chunk.
+        fn flush(&self, key: &[u8]) {
+            self.idx.mark_ssd(key);
+            if let Some(id) = self.live.borrow_mut().remove(key) {
+                self.pool.borrow_mut().free_chunk(id);
+            }
+        }
+    }
+
+    fn counters(engine: &DirectReadEngine) -> ClientStats {
+        let mut st = ClientStats::default();
+        engine.add_counters(&mut st);
+        st
+    }
+
+    fn rig(policy: DirectPolicy) -> (Sim, Rc<Server>, Rc<DirectReadEngine>, Rc<QueuePair>) {
         let sim = Sim::new();
-        let idx = OneSidedIndex::new(OneSidedConfig {
-            buckets: 64,
-            value_cap: 256,
-        });
+        let server = Rc::new(Server::new());
         let profile = fdr_rdma();
         let (qp, _peer) = QueuePair::connect(&sim, profile.link);
         let qp = Rc::new(qp);
-        qp.bind_peer_window(idx.window());
+        qp.bind_peer_window(server.idx.window());
         let engine = Rc::new(DirectReadEngine::new(
             sim.clone(),
             Rc::clone(&qp),
@@ -330,14 +402,15 @@ mod tests {
             Duration::from_micros(1),
             None,
         ));
-        engine.install_lease(idx.lease());
-        (sim, idx, engine, qp)
+        engine.install_lease(server.idx.lease());
+        (sim, server, engine, qp)
     }
 
     #[test]
     fn direct_read_returns_published_value_and_flags() {
-        let (sim, idx, engine, _qp) = rig(DirectPolicy::Always);
-        idx.publish(b"k", b"hello", 7);
+        let (sim, server, engine, _qp) = rig(DirectPolicy::Always);
+        server.put(b"k", b"hello", 7);
+        server.put(b"big", &vec![9u8; 32 << 10], 1);
         sim.run_until(async move {
             match engine.read(b"k").await {
                 DirectOutcome::Hit { value, flags } => {
@@ -346,27 +419,122 @@ mod tests {
                 }
                 other => panic!("expected hit, got {other:?}"),
             }
+            match engine.read(b"big").await {
+                DirectOutcome::Hit { value, .. } => assert_eq!(value[..], [9u8; 32 << 10]),
+                other => panic!("32 KiB values are direct-readable, got {other:?}"),
+            }
+            let c = counters(&engine);
+            assert_eq!(c.direct_reads, 4, "two reads per hit");
+            let item = |k: usize, v: usize| (ITEM_HEADER + k + v + VERSION_WORD) as u64;
+            assert_eq!(
+                c.direct_read_bytes,
+                2 * BUCKET_LEN as u64 + item(1, 5) + item(3, 32 << 10)
+            );
         });
     }
 
     #[test]
     fn absent_invalidated_and_ssd_keys_report_their_outcome() {
-        let (sim, idx, engine, _qp) = rig(DirectPolicy::Always);
-        idx.publish(b"gone", b"x", 0);
-        idx.invalidate(b"gone");
-        idx.publish(b"cold", b"y", 0);
-        idx.mark_ssd(b"cold");
+        let (sim, server, engine, _qp) = rig(DirectPolicy::Always);
+        server.put(b"gone", b"x", 0);
+        server.delete(b"gone");
+        server.put(b"cold", b"y", 0);
+        server.flush(b"cold");
         sim.run_until(async move {
             assert!(matches!(engine.read(b"never").await, DirectOutcome::Miss));
             assert!(matches!(engine.read(b"gone").await, DirectOutcome::Miss));
             assert!(matches!(engine.read(b"cold").await, DirectOutcome::Ssd));
+            assert_eq!(
+                counters(&engine).direct_reads,
+                3,
+                "no item read without a RAM slot"
+            );
+        });
+    }
+
+    /// The window offset of `key`'s slot, and the slot itself.
+    fn slot_of(server: &Server, key: &[u8]) -> (usize, Descriptor) {
+        let lease = server.idx.lease();
+        let fp = key_fingerprint(key);
+        let bucket =
+            lease.table_offset as usize + (fp % lease.buckets as u64) as usize * BUCKET_LEN;
+        let window = server.idx.window();
+        (0..BUCKET_SLOTS)
+            .map(|s| bucket + s * SLOT_LEN)
+            .find_map(|off| {
+                let d = window.read_with(off, SLOT_LEN, Descriptor::decode)?;
+                d.advertises(fp).then_some((off, d))
+            })
+            .expect("key has a slot")
+    }
+
+    /// A slot whose fingerprint matches but whose chunk holds another key
+    /// (a fingerprint collision) is rejected on the full key.
+    #[test]
+    fn fingerprint_collisions_never_return_another_keys_value() {
+        let (sim, server, engine, _qp) = rig(DirectPolicy::Always);
+        // Equal key lengths, so only the key bytes can tell them apart.
+        server.put(b"owner", b"owner's value", 0);
+        server.put(b"probe", b"x", 0);
+        let (_, owner) = slot_of(&server, b"owner");
+        let (probe_off, probe) = slot_of(&server, b"probe");
+        // Point "probe"'s slot at "owner"'s chunk, version and length.
+        let forged = Descriptor {
+            fingerprint: probe.fingerprint,
+            ..owner
+        };
+        server.idx.window().poke(probe_off, &forged.encode());
+        sim.run_until(async move {
+            assert!(matches!(engine.read(b"probe").await, DirectOutcome::Stale));
+            assert!(matches!(
+                engine.read(b"owner").await,
+                DirectOutcome::Hit { .. }
+            ));
+        });
+    }
+
+    /// A descriptor read before its chunk was freed and rewritten — here
+    /// by the same key with a same-length value — fails on the version
+    /// word alone.
+    #[test]
+    fn rewritten_chunks_fail_on_the_version_word() {
+        let (sim, server, engine, _qp) = rig(DirectPolicy::Always);
+        server.put(b"k", b"old", 0);
+        let (off, old) = slot_of(&server, b"k");
+        server.delete(b"k");
+        server.put(b"k", b"new", 0); // reuses the freed chunk
+        let (_, new) = slot_of(&server, b"k");
+        assert_eq!((new.offset, new.len), (old.offset, old.len));
+        assert_ne!(new.version, old.version);
+        // A reader still holding the old bucket image.
+        server.idx.window().poke(off, &old.encode());
+        sim.run_until(async move {
+            assert!(matches!(engine.read(b"k").await, DirectOutcome::Stale));
+        });
+    }
+
+    /// A descriptor pointing past the registered window (say, a stale one)
+    /// completes without data and is counted stale, not a panic.
+    #[test]
+    fn out_of_window_descriptors_are_stale() {
+        let (sim, server, engine, _qp) = rig(DirectPolicy::Always);
+        server.put(b"k", b"v", 0);
+        let (off, d) = slot_of(&server, b"k");
+        let window = server.idx.window();
+        let past_end = Descriptor {
+            offset: window.len() as u64 - 8,
+            ..d
+        };
+        window.poke(off, &past_end.encode());
+        sim.run_until(async move {
+            assert!(matches!(engine.read(b"k").await, DirectOutcome::Stale));
         });
     }
 
     #[test]
     fn dropped_completions_surface_as_lost_within_the_timeout() {
-        let (sim, idx, engine, qp) = rig(DirectPolicy::Always);
-        idx.publish(b"k", b"v", 0);
+        let (sim, server, engine, qp) = rig(DirectPolicy::Always);
+        server.put(b"k", b"v", 0);
         qp.set_onesided_faults(Some(FaultPlan::drops(7, 1.0)));
         sim.clone().run_until(async move {
             let t0 = sim.now();
@@ -379,30 +547,30 @@ mod tests {
 
     #[test]
     fn adaptive_flips_with_hysteresis_and_probes() {
-        let (_sim, _idx, engine, _qp) = rig(DirectPolicy::Adaptive);
+        let (_sim, _server, engine, _qp) = rig(DirectPolicy::Adaptive);
         // No latency signal yet: stay on RPC, no flip.
         assert!(!engine.decide());
-        assert_eq!(engine.counters().4, 0);
+        assert_eq!(counters(&engine).mode_flips, 0);
         // A slow RPC observation flips to direct; the first eligible GET
         // is the probe (seq 0), the following go direct.
         engine.observe_rpc_latency(100_000);
         assert!(!engine.decide(), "first direct-mode get is an RPC probe");
-        assert_eq!(engine.counters().4, 1);
+        assert_eq!(counters(&engine).mode_flips, 1);
         let direct = (0..(PROBE_EVERY - 1)).filter(|_| engine.decide()).count();
         assert_eq!(direct as u64, PROBE_EVERY - 1);
         assert!(!engine.decide(), "every {PROBE_EVERY}th get re-probes RPC");
-        assert_eq!(engine.counters().4, 1, "probes are not mode flips");
+        assert_eq!(counters(&engine).mode_flips, 1, "probes are not mode flips");
         // Load drains: fast RPC observations flip back.
         for _ in 0..32 {
             engine.observe_rpc_latency(500);
         }
         assert!(!engine.decide());
-        assert_eq!(engine.counters().4, 2);
+        assert_eq!(counters(&engine).mode_flips, 2);
     }
 
     #[test]
     fn queue_depth_hint_alone_can_push_adaptive_to_direct() {
-        let (_sim, _idx, engine, _qp) = rig(DirectPolicy::Adaptive);
+        let (_sim, _server, engine, _qp) = rig(DirectPolicy::Adaptive);
         // EWMA below the direct cost on its own…
         engine.observe_rpc_latency(4_000);
         assert!(!engine.decide());
@@ -415,21 +583,22 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Writers (overwrites, evictions, invalidations) racing direct
-        /// reads never produce a torn value: every accepted hit is a
-        /// value that was published exactly as read (uniform fill byte,
-        /// matching length, matching flags).
+        /// Writers racing direct reads — overwrites, deletes, flushes, and
+        /// other keys reusing the freed chunks — never produce a value the
+        /// reader did not ask for: every accepted hit is a value written
+        /// to "k" exactly as read (uniform fill byte, matching length,
+        /// matching flags).
         #[test]
         fn racing_writers_never_yield_torn_values(
             writes in prop::collection::vec(
-                (0u64..4_000, 1usize..200, 0u8..3),
+                (0u64..4_000, 1usize..200, 0u8..4),
                 1..24,
             ),
             read_gap in 1u64..3_000,
         ) {
-            let (sim, idx, engine, _qp) = rig(DirectPolicy::Always);
+            let (sim, server, engine, _qp) = rig(DirectPolicy::Always);
             let lens: Vec<usize> = writes.iter().map(|w| w.1).collect();
-            let writer_idx = Rc::clone(&idx);
+            let writer = Rc::clone(&server);
             let writes2 = writes.clone();
             let writer = sim.spawn({
                 let sim = sim.clone();
@@ -438,9 +607,11 @@ mod tests {
                         sim.sleep(Duration::from_nanos(delay)).await;
                         let fill = (i + 1) as u8;
                         match kind {
-                            0 => writer_idx.publish(b"k", &vec![fill; len], fill as u32),
-                            1 => writer_idx.invalidate(b"k"),
-                            _ => writer_idx.mark_ssd(b"k"),
+                            0 => writer.put(b"k", &vec![fill; len], fill as u32),
+                            1 => writer.delete(b"k"),
+                            2 => writer.flush(b"k"),
+                            // Another key takes the freed chunk.
+                            _ => writer.put(b"x", &vec![0; len], 0),
                         }
                     }
                 }

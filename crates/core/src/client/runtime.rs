@@ -170,8 +170,8 @@ pub struct ClientStats {
     pub flush_on_doorbell: u64,
     /// GETs served entirely by one-sided RDMA reads (server CPU bypassed).
     pub direct_hits: u64,
-    /// Direct reads that lost a seqlock race with a writer and fell back
-    /// to RPC.
+    /// Direct reads that found the item chunk rewritten or reused since
+    /// its descriptor was read, and fell back to RPC.
     pub stale_retries: u64,
     /// Direct reads that found the value SSD-resident and fell back.
     pub ssd_fallbacks: u64,
@@ -180,6 +180,10 @@ pub struct ClientStats {
     pub direct_lost: u64,
     /// Adaptive-policy mode changes (RPC↔direct), across all servers.
     pub mode_flips: u64,
+    /// One-sided RDMA reads posted (a direct GET posts one or two).
+    pub direct_reads: u64,
+    /// Bytes those reads requested.
+    pub direct_read_bytes: u64,
     /// Read attempts routed to a non-primary replica (spread reads plus
     /// reads failed over from a dead primary).
     pub replica_reads: u64,
@@ -365,12 +369,7 @@ impl Client {
         let mut st = *self.reqs.stats.borrow();
         st.window_hwm = self.reqs.window_hwm();
         for e in self.directs.iter().flatten() {
-            let (hits, stale, ssd, lost, flips) = e.counters();
-            st.direct_hits += hits;
-            st.stale_retries += stale;
-            st.ssd_fallbacks += ssd;
-            st.direct_lost += lost;
-            st.mode_flips += flips;
+            e.add_counters(&mut st);
         }
         st
     }

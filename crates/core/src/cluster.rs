@@ -13,7 +13,7 @@ use crate::client::{Client, ClientConfig, DirectPolicy, Ring};
 use crate::costs::CpuCosts;
 use crate::designs::{Design, SpecParams};
 use crate::replication::ReplicationConfig;
-use crate::server::{OneSidedConfig, Server};
+use crate::server::Server;
 
 /// One scripted server crash (and optional warm restart) in virtual time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,11 +83,6 @@ pub struct ClusterConfig {
     pub fabric_override: Option<FabricProfile>,
     /// Deterministic fault-injection schedule (quiet by default).
     pub chaos: ChaosConfig,
-    /// Server-side one-sided index window geometry. `None` publishes a
-    /// window with [`OneSidedConfig::default`] geometry when (and only
-    /// when) [`ClientConfig::direct`] is not [`DirectPolicy::Off`];
-    /// `Some` forces publication with the given geometry either way.
-    pub onesided: Option<OneSidedConfig>,
     /// Primary–replica replication. The default
     /// ([`ReplicationConfig::disabled`]) keeps every key single-copy;
     /// with `rf > 1` the builder wires a full server-to-server mesh,
@@ -113,7 +108,6 @@ impl ClusterConfig {
             client: ClientConfig::default(),
             fabric_override: None,
             chaos: ChaosConfig::default(),
-            onesided: None,
             replication: ReplicationConfig::disabled(),
         }
     }
@@ -174,11 +168,9 @@ pub fn build_cluster(sim: &Sim, cfg: &ClusterConfig) -> Cluster {
         ssd_capacity: cfg.ssd_capacity,
         costs: cfg.costs,
     });
-    // Publish one-sided index windows when asked for explicitly or
-    // implied by the client's direct-read policy.
-    server_cfg.onesided = cfg
-        .onesided
-        .or_else(|| (cfg.client.direct != DirectPolicy::Off).then(OneSidedConfig::default));
+    // Publish one-sided descriptor tables when the client's direct-read
+    // policy can use them.
+    server_cfg.onesided = cfg.client.direct != DirectPolicy::Off;
 
     let mut servers = Vec::with_capacity(cfg.servers);
     let mut devices = Vec::new();

@@ -61,6 +61,6 @@ pub use designs::{Design, SpecParams};
 pub use proto::{ApiFlavor, LeaseGeometry, OpStatus, Request, Response, ServedFrom, StageTimes};
 pub use replication::{ReadPolicy, ReplicationConfig};
 pub use server::{
-    HybridStore, IoPolicy, OneSidedConfig, PromotePolicy, RecoveryReport, Server, ServerConfig,
-    StoreConfig, StoreKind,
+    HybridStore, IoPolicy, PromotePolicy, RecoveryReport, Server, ServerConfig, StoreConfig,
+    StoreKind,
 };

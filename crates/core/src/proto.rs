@@ -1068,21 +1068,20 @@ fn read_stages(r: &mut Reader<'_>) -> Result<StageTimes, ProtoError> {
     })
 }
 
-/// Geometry of a server's RDMA-readable index window, exchanged through
-/// the [`Request::WindowLease`] handshake. Offsets are relative to the
-/// window base: `buckets` fixed-size descriptor slots of `desc_slot`
-/// bytes, then a value arena of `buckets` slots of `arena_slot` bytes
-/// starting at `arena_offset`.
+/// Geometry of a server's one-sided descriptor table, exchanged through
+/// the [`Request::WindowLease`] handshake. The registered window holds
+/// the slab pages, then, from `table_offset`, `buckets` buckets of
+/// `bucket_slots` slots of `slot_len` bytes each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeaseGeometry {
-    /// Number of descriptor/arena buckets.
+    /// Number of buckets (a power of two; keys map as `fp % buckets`).
     pub buckets: u32,
-    /// Bytes per descriptor slot.
-    pub desc_slot: u32,
-    /// Window offset where the value arena begins.
-    pub arena_offset: u64,
-    /// Bytes per arena slot (version copy + value capacity).
-    pub arena_slot: u32,
+    /// Slots per bucket.
+    pub bucket_slots: u32,
+    /// Window offset where the table begins.
+    pub table_offset: u64,
+    /// Bytes per slot.
+    pub slot_len: u32,
 }
 
 impl LeaseGeometry {
@@ -1093,9 +1092,9 @@ impl LeaseGeometry {
     pub fn encode(&self) -> Bytes {
         let mut b = BytesMut::with_capacity(Self::WIRE_LEN);
         b.put_u32(self.buckets);
-        b.put_u32(self.desc_slot);
-        b.put_u64(self.arena_offset);
-        b.put_u32(self.arena_slot);
+        b.put_u32(self.bucket_slots);
+        b.put_u64(self.table_offset);
+        b.put_u32(self.slot_len);
         b.freeze()
     }
 
@@ -1104,9 +1103,9 @@ impl LeaseGeometry {
         let mut r = Reader::new(buf);
         Ok(LeaseGeometry {
             buckets: r.u32()?,
-            desc_slot: r.u32()?,
-            arena_offset: r.u64()?,
-            arena_slot: r.u32()?,
+            bucket_slots: r.u32()?,
+            table_offset: r.u64()?,
+            slot_len: r.u32()?,
         })
     }
 }
@@ -1568,9 +1567,9 @@ mod tests {
 
         let geo = LeaseGeometry {
             buckets: 4096,
-            desc_slot: 32,
-            arena_offset: 4096 * 32,
-            arena_slot: 4104,
+            bucket_slots: 8,
+            table_offset: 64 << 20,
+            slot_len: 24,
         };
         let wire = geo.encode();
         assert_eq!(wire.len(), LeaseGeometry::WIRE_LEN);

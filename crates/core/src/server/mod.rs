@@ -7,7 +7,7 @@ pub mod runtime;
 pub mod slab;
 pub mod store;
 
-pub use onesided::{Descriptor, OneSidedConfig, OneSidedIndex, OneSidedStats};
+pub use onesided::{Descriptor, OneSidedIndex, OneSidedStats};
 pub use runtime::{Server, ServerConfig, ServerStats, StatsSnapshot};
 pub use store::{
     HybridStore, IoPolicy, OpOutcome, PromotePolicy, RecoveryReport, ReplHook, ReplUpdate,

@@ -54,9 +54,9 @@ pub struct ServerConfig {
     /// Request threads for the inline (blocking) path — memcached's
     /// `-t` worker threads. Requests beyond this concurrency queue.
     pub inline_concurrency: usize,
-    /// Publish an RDMA-readable one-sided index region (the server-bypass
-    /// GET path). `None` disables it; clients then always use RPC.
-    pub onesided: Option<crate::server::onesided::OneSidedConfig>,
+    /// Publish a one-sided descriptor table over the slab pages (the
+    /// server-bypass GET path). Without it clients always use RPC.
+    pub onesided: bool,
 }
 
 impl ServerConfig {
@@ -69,7 +69,7 @@ impl ServerConfig {
             workers: 0,
             staging_capacity: 0,
             inline_concurrency: 4,
-            onesided: None,
+            onesided: false,
         }
     }
 
@@ -82,7 +82,7 @@ impl ServerConfig {
             workers: 4,
             staging_capacity: 64,
             inline_concurrency: 4,
-            onesided: None,
+            onesided: false,
         }
     }
 }
@@ -279,10 +279,11 @@ impl Server {
     /// Create a server and spawn its worker pool. `ssd` is required when
     /// the store is hybrid.
     pub fn new(sim: &Sim, cfg: ServerConfig, ssd: Option<Rc<SlabIo>>) -> Rc<Self> {
-        let store = HybridStore::new(sim, cfg.store, ssd);
-        if let Some(oscfg) = cfg.onesided {
-            store.attach_onesided(crate::server::onesided::OneSidedIndex::new(oscfg));
-        }
+        let store = if cfg.onesided {
+            HybridStore::with_onesided(sim, cfg.store, ssd)
+        } else {
+            HybridStore::new(sim, cfg.store, ssd)
+        };
         let server = Rc::new(Server {
             sim: sim.clone(),
             cfg,
@@ -309,9 +310,9 @@ impl Server {
         &self.store
     }
 
-    /// The one-sided index region, if this server publishes one (for
-    /// cluster wiring: the window is bound to client queue pairs).
-    pub fn onesided(&self) -> Option<Rc<crate::server::onesided::OneSidedIndex>> {
+    /// The one-sided descriptor table, if this server publishes one (for
+    /// cluster wiring: its window is bound to client queue pairs).
+    pub fn onesided(&self) -> Option<&Rc<crate::server::onesided::OneSidedIndex>> {
         self.store.onesided()
     }
 

@@ -5,13 +5,26 @@
 //! are stored whole (header + key + value) inside a chunk. This is the
 //! structure the paper's hybrid design flushes to SSD one page at a time,
 //! so pages carry a `flushing` state and whole-page data access.
+//!
+//! Every page lives in one registered [`RemoteWindow`]: page `p` spans
+//! `[p * page_size, (p + 1) * page_size)`, and the one-sided descriptor
+//! table follows the last page (see [`crate::server::onesided`]). The
+//! window is allocated zeroed up front, so budget no item has touched
+//! stays non-resident.
 
 use bytes::Bytes;
+use nbkv_fabric::RemoteWindow;
 
+use crate::server::onesided;
 use crate::util::{pack_item_id, unpack_item_id};
 
 /// On-chunk item header: key_len (4) + val_len (4) + flags (4) + expire (8).
 pub const ITEM_HEADER: usize = 20;
+
+/// Bytes of the version word a store with a one-sided index appends after
+/// each item's value. A remote reader accepts the item only if this word
+/// equals the version its descriptor advertises.
+pub const VERSION_WORD: usize = 8;
 
 /// Slab geometry and budget.
 #[derive(Debug, Clone, Copy)]
@@ -90,6 +103,37 @@ pub fn parse_item_bytes(src: &[u8]) -> Option<ParsedItem> {
     })
 }
 
+/// A published chunk image as a one-sided reader fetches it — header,
+/// key, value, then the [`VERSION_WORD`] — sliced without copying.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VersionedItem {
+    /// Key bytes.
+    pub key: Bytes,
+    /// Value bytes.
+    pub value: Bytes,
+    /// Client flags.
+    pub flags: u32,
+    /// The version word after the value.
+    pub version: u64,
+}
+
+/// Parse `src` as exactly one item followed by its version word; `None`
+/// if the header's lengths do not account for every byte.
+pub fn parse_versioned_item(src: &Bytes) -> Option<VersionedItem> {
+    let u32_at = |i: usize| Some(u32::from_be_bytes(src.get(i..i + 4)?.try_into().ok()?));
+    let key_end = ITEM_HEADER + u32_at(0)? as usize;
+    let value_end = key_end + u32_at(4)? as usize;
+    if src.len() != value_end + VERSION_WORD {
+        return None;
+    }
+    Some(VersionedItem {
+        key: src.slice(ITEM_HEADER..key_end),
+        value: src.slice(key_end..value_end),
+        flags: u32_at(8)?,
+        version: u64::from_be_bytes(src[value_end..].try_into().ok()?),
+    })
+}
+
 struct ClassState {
     chunk_size: usize,
     chunks_per_page: u32,
@@ -101,7 +145,6 @@ struct ClassState {
 
 struct Page {
     class: usize,
-    data: Box<[u8]>,
     live: u32,
     flushing: bool,
     /// Retired pages are in the free-page pool; their ids must not be used.
@@ -135,6 +178,7 @@ pub struct SlabPool {
     pages: Vec<Page>,
     free_pages: Vec<u32>,
     max_pages: usize,
+    window: RemoteWindow,
 }
 
 impl SlabPool {
@@ -161,13 +205,37 @@ impl SlabPool {
             pages: Vec::new(),
         });
         let max_pages = (cfg.mem_bytes / cfg.page_size as u64) as usize;
+        let pages_bytes = max_pages * cfg.page_size;
         SlabPool {
             cfg,
             classes,
             pages: Vec::new(),
             free_pages: Vec::new(),
             max_pages,
+            window: RemoteWindow::new(pages_bytes + onesided::table_bytes(pages_bytes)),
         }
+    }
+
+    /// Forget every page and item (a crash), keeping the registered window
+    /// itself: remote peers stay bound to it.
+    pub fn reset(&mut self) {
+        for c in &mut self.classes {
+            c.free.clear();
+            c.pages.clear();
+        }
+        self.pages.clear();
+        self.free_pages.clear();
+    }
+
+    /// The registered window holding every page (and, after them, the
+    /// one-sided descriptor table).
+    pub fn window(&self) -> &RemoteWindow {
+        &self.window
+    }
+
+    /// Window offset where the pages end and the descriptor table begins.
+    pub fn table_offset(&self) -> usize {
+        self.max_pages * self.cfg.page_size
     }
 
     /// Pool geometry.
@@ -228,7 +296,6 @@ impl SlabPool {
         if self.pages.len() < self.max_pages {
             self.pages.push(Page {
                 class,
-                data: vec![0u8; self.cfg.page_size].into_boxed_slice(),
                 live: 0,
                 flushing: false,
                 retired: false,
@@ -238,7 +305,26 @@ impl SlabPool {
         None
     }
 
-    /// Store an item into an allocated chunk. Returns the stored length.
+    /// Window offset and chunk size of the chunk `id`, or `None` if its
+    /// page was never allocated.
+    fn chunk_span(&self, id: u64) -> Option<(usize, usize)> {
+        let (page, chunk) = unpack_item_id(id);
+        let p = self.pages.get(page as usize)?;
+        let chunk_size = self.classes[p.class].chunk_size;
+        Some((
+            page as usize * self.cfg.page_size + chunk as usize * chunk_size,
+            chunk_size,
+        ))
+    }
+
+    /// Window offset of the chunk `id` (where a descriptor points).
+    pub fn chunk_offset(&self, id: u64) -> usize {
+        self.chunk_span(id).expect("allocated chunk").0
+    }
+
+    /// Store an item into an allocated chunk, followed by `version` as a
+    /// [`VERSION_WORD`] when given. Returns the stored item length (the
+    /// version word excluded).
     pub fn write_item(
         &mut self,
         id: u64,
@@ -246,45 +332,39 @@ impl SlabPool {
         value: &[u8],
         flags: u32,
         expire_at_ns: u64,
+        version: Option<u64>,
     ) -> usize {
-        let (page, chunk) = unpack_item_id(id);
-        let class = self.pages[page as usize].class;
-        let chunk_size = self.classes[class].chunk_size;
+        let (off, chunk_size) = self.chunk_span(id).expect("allocated chunk");
         let stored = Self::item_len(key.len(), value.len());
-        assert!(stored <= chunk_size, "item does not fit chunk");
-        let off = chunk as usize * chunk_size;
-        let data = &mut self.pages[page as usize].data;
-        write_item_bytes(
-            &mut data[off..off + stored],
-            key,
-            value,
-            flags,
-            expire_at_ns,
-        )
+        let word = if version.is_some() { VERSION_WORD } else { 0 };
+        assert!(stored + word <= chunk_size, "item does not fit chunk");
+        self.window.write_with(off, stored + word, |dst| {
+            write_item_bytes(dst, key, value, flags, expire_at_ns);
+            if let Some(v) = version {
+                dst[stored..].copy_from_slice(&v.to_be_bytes());
+            }
+        });
+        stored
     }
 
     /// Parse the item stored at `id`.
     pub fn read_item(&self, id: u64) -> Option<ParsedItem> {
-        let (page, chunk) = unpack_item_id(id);
-        let p = self.pages.get(page as usize)?;
-        if p.retired {
+        let (page, _) = unpack_item_id(id);
+        if self.pages.get(page as usize)?.retired {
             return None;
         }
-        let chunk_size = self.classes[p.class].chunk_size;
-        let off = chunk as usize * chunk_size;
-        parse_item_bytes(&p.data[off..off + chunk_size])
+        let (off, chunk_size) = self.chunk_span(id)?;
+        self.window.read_with(off, chunk_size, parse_item_bytes)
     }
 
     /// Stored length (header + key + value) of the item at `id`.
     pub fn stored_len(&self, id: u64) -> Option<usize> {
-        let (page, chunk) = unpack_item_id(id);
-        let p = self.pages.get(page as usize)?;
-        let chunk_size = self.classes[p.class].chunk_size;
-        let off = chunk as usize * chunk_size;
-        let src = &p.data[off..off + chunk_size];
-        let key_len = u32::from_be_bytes(src[0..4].try_into().ok()?) as usize;
-        let val_len = u32::from_be_bytes(src[4..8].try_into().ok()?) as usize;
-        Some(ITEM_HEADER + key_len + val_len)
+        let (off, _) = self.chunk_span(id)?;
+        self.window.read_with(off, 8, |src| {
+            let key_len = u32::from_be_bytes(src[0..4].try_into().ok()?) as usize;
+            let val_len = u32::from_be_bytes(src[4..8].try_into().ok()?) as usize;
+            Some(ITEM_HEADER + key_len + val_len)
+        })
     }
 
     /// Release a chunk. On a flushing page the chunk is not returned to the
@@ -320,9 +400,11 @@ impl SlabPool {
         class
     }
 
-    /// Raw page bytes (for flushing to SSD).
-    pub fn page_data(&self, page: u32) -> &[u8] {
-        &self.pages[page as usize].data
+    /// A copy of the raw page bytes (the buffer a flush writes to SSD).
+    pub fn page_data(&self, page: u32) -> Vec<u8> {
+        let size = self.cfg.page_size;
+        self.window
+            .read_with(page as usize * size, size, <[u8]>::to_vec)
     }
 
     /// Item ids of a page's chunks (all of them; callers filter to live
@@ -422,13 +504,38 @@ mod tests {
         let mut pool = pool_1mb();
         let class = pool.class_for(SlabPool::item_len(3, 11)).unwrap();
         let id = pool.try_alloc(class).unwrap();
-        pool.write_item(id, b"abc", b"hello world", 7, 99);
+        pool.write_item(id, b"abc", b"hello world", 7, 99, None);
         let item = pool.read_item(id).unwrap();
         assert_eq!(&item.key[..], b"abc");
         assert_eq!(&item.value[..], b"hello world");
         assert_eq!(item.flags, 7);
         assert_eq!(item.expire_at_ns, 99);
         assert_eq!(pool.stored_len(id), Some(ITEM_HEADER + 3 + 11));
+    }
+
+    #[test]
+    fn version_word_follows_the_item_in_the_window() {
+        let mut pool = pool_1mb();
+        let need = SlabPool::item_len(3, 5) + VERSION_WORD;
+        let id = pool.try_alloc(pool.class_for(need).unwrap()).unwrap();
+        assert_eq!(
+            pool.write_item(id, b"key", b"value", 4, 0, Some(77)),
+            need - VERSION_WORD
+        );
+        let raw = pool.window().peek(pool.chunk_offset(id), need);
+        let item = parse_versioned_item(&raw).unwrap();
+        assert_eq!(
+            (&item.key[..], &item.value[..]),
+            (&b"key"[..], &b"value"[..])
+        );
+        assert_eq!((item.flags, item.version), (4, 77));
+        // The plain parser ignores the trailing word.
+        assert_eq!(&pool.read_item(id).unwrap().value[..], b"value");
+        // One byte short or long of what the header accounts for: rejected.
+        assert!(parse_versioned_item(&raw.slice(..need - 1)).is_none());
+        let mut long = raw.to_vec();
+        long.push(0);
+        assert!(parse_versioned_item(&Bytes::from(long)).is_none());
     }
 
     #[test]

@@ -25,7 +25,9 @@ use crate::costs::CpuCosts;
 use crate::proto::{OpStatus, ServedFrom, SetMode, StageTimes};
 use crate::server::hashtable::HashTable;
 use crate::server::onesided::OneSidedIndex;
-use crate::server::slab::{parse_item_bytes, SlabConfig, SlabPool, SlabStats, ITEM_HEADER};
+use crate::server::slab::{
+    parse_item_bytes, SlabConfig, SlabPool, SlabStats, ITEM_HEADER, VERSION_WORD,
+};
 use crate::util::unpack_item_id;
 
 /// Memory-only or hybrid storage.
@@ -370,20 +372,36 @@ pub struct HybridStore {
     /// Replication hook for locally originated writes, if the server
     /// enabled replication.
     repl_hook: RefCell<Option<ReplHook>>,
-    /// One-sided index region, if the server publishes one. Every mutation
-    /// that changes where (or whether) a value lives must keep it coherent
-    /// via the seqlock hooks below.
-    onesided: RefCell<Option<Rc<OneSidedIndex>>>,
+    /// One-sided descriptor table over the pool's window, if the server
+    /// publishes one. Every mutation that changes where (or whether) a
+    /// value lives must keep it coherent via the hooks below.
+    onesided: Option<Rc<OneSidedIndex>>,
 }
 
 impl HybridStore {
     /// Build a store. `ssd` is required for [`StoreKind::Hybrid`].
     pub fn new(sim: &Sim, cfg: StoreConfig, ssd: Option<Rc<SlabIo>>) -> Rc<Self> {
+        Self::build(sim, cfg, ssd, false)
+    }
+
+    /// Build a store that publishes a one-sided descriptor table in its
+    /// slab window and appends a [`VERSION_WORD`] to every item it writes.
+    pub fn with_onesided(sim: &Sim, cfg: StoreConfig, ssd: Option<Rc<SlabIo>>) -> Rc<Self> {
+        Self::build(sim, cfg, ssd, true)
+    }
+
+    fn build(sim: &Sim, cfg: StoreConfig, ssd: Option<Rc<SlabIo>>, onesided: bool) -> Rc<Self> {
         if cfg.kind == StoreKind::Hybrid {
             assert!(ssd.is_some(), "hybrid store needs an SSD");
         }
         let pool = SlabPool::new(SlabConfig::with_mem(cfg.mem_bytes));
         let n_classes = pool.num_classes();
+        let onesided = onesided.then(|| {
+            Rc::new(OneSidedIndex::new(
+                pool.window().clone(),
+                pool.table_offset(),
+            ))
+        });
         Rc::new(HybridStore {
             sim: sim.clone(),
             cfg,
@@ -403,7 +421,7 @@ impl HybridStore {
             stats: Rc::new(RefCell::new(StoreStats::default())),
             repl_seqs: RefCell::new(std::collections::HashMap::new()),
             repl_hook: RefCell::new(None),
-            onesided: RefCell::new(None),
+            onesided,
         })
     }
 
@@ -415,24 +433,29 @@ impl HybridStore {
         *self.repl_hook.borrow_mut() = Some(hook);
     }
 
-    /// Attach a one-sided index region; subsequent mutations publish and
-    /// invalidate descriptors through it.
-    pub fn attach_onesided(&self, idx: Rc<OneSidedIndex>) {
-        *self.onesided.borrow_mut() = Some(idx);
+    /// The one-sided descriptor table, if this store publishes one.
+    pub fn onesided(&self) -> Option<&Rc<OneSidedIndex>> {
+        self.onesided.as_ref()
     }
 
-    /// The attached one-sided index, if any.
-    pub fn onesided(&self) -> Option<Rc<OneSidedIndex>> {
-        self.onesided.borrow().clone()
+    /// The version word written after each item (only with a table).
+    fn version_word(&self, version: u64) -> Option<u64> {
+        self.onesided.as_ref().map(|_| version)
     }
 
-    /// Publish `key`'s in-RAM value to the one-sided window. Items with an
-    /// expiry are never published: a remote reader cannot check TTLs, so
-    /// they stay RPC-only.
-    fn os_publish(&self, key: &[u8], value: &[u8], flags: u32, expire_at_ns: u64) {
-        if let Some(idx) = self.onesided.borrow().as_ref() {
+    /// Bytes a chunk must hold for an item of `item_len`: the version word
+    /// is appended only when a table is published.
+    fn chunk_need(&self, item_len: usize) -> usize {
+        item_len + self.onesided.as_ref().map_or(0, |_| VERSION_WORD)
+    }
+
+    /// Publish `key`'s item at chunk `id` (value of `value_len` bytes,
+    /// version word `version`). Items with an expiry are never published:
+    /// a remote reader cannot check TTLs, so they stay RPC-only.
+    fn os_publish(&self, key: &[u8], id: u64, value_len: usize, version: u64, expire_at_ns: u64) {
+        if let Some(idx) = &self.onesided {
             if expire_at_ns == 0 {
-                idx.publish(key, value, flags);
+                idx.publish(key, self.pool.borrow().chunk_offset(id), value_len, version);
             } else {
                 idx.invalidate(key);
             }
@@ -441,15 +464,15 @@ impl HybridStore {
 
     /// Invalidate `key`'s descriptor (delete, expiry, eviction, data loss).
     fn os_invalidate(&self, key: &[u8]) {
-        if let Some(idx) = self.onesided.borrow().as_ref() {
+        if let Some(idx) = &self.onesided {
             idx.invalidate(key);
         }
     }
 
-    /// Clear `key`'s in-RAM bit: the value moved to SSD and its arena
-    /// bytes are no longer valid, but the key still serves over RPC.
+    /// Clear `key`'s in-RAM bit: the item left its chunk for SSD, but the
+    /// key still serves over RPC.
     fn os_mark_ssd(&self, key: &[u8]) {
-        if let Some(idx) = self.onesided.borrow().as_ref() {
+        if let Some(idx) = &self.onesided {
             idx.mark_ssd(key);
         }
     }
@@ -607,7 +630,7 @@ impl HybridStore {
         origin: WriteOrigin,
     ) -> OpOutcome {
         let item_len = SlabPool::item_len(key.len(), value.len());
-        let Some(class) = self.pool.borrow().class_for(item_len) else {
+        let Some(class) = self.pool.borrow().class_for(self.chunk_need(item_len)) else {
             self.stats.borrow_mut().set_errors += 1;
             return OpOutcome::status_only(OpStatus::Error, stages);
         };
@@ -652,15 +675,20 @@ impl HybridStore {
         stages.ssd_ns += ssd_wait_ns;
 
         // Store the item bytes (copy charged above).
-        self.pool
-            .borrow_mut()
-            .write_item(id, &key, &value, flags, expire_at_ns);
+        let version = self.next_version.get();
+        self.next_version.set(version + 1);
+        self.pool.borrow_mut().write_item(
+            id,
+            &key,
+            &value,
+            flags,
+            expire_at_ns,
+            self.version_word(version),
+        );
 
         // Stage 3: index + LRU update.
         let t2 = self.sim.now();
-        let version = self.next_version.get();
-        self.next_version.set(version + 1);
-        self.os_publish(&key, &value, flags, expire_at_ns);
+        self.os_publish(&key, id, value.len(), version, expire_at_ns);
         let old = self.index.borrow_mut().insert(
             &key,
             ItemMeta {
@@ -762,6 +790,10 @@ impl HybridStore {
         }
         if let Some(meta) = self.index.borrow_mut().get_mut(key) {
             meta.expire_at_ns = expire_at_ns;
+        }
+        if expire_at_ns != 0 {
+            // Remote readers cannot check a TTL.
+            self.os_invalidate(key);
         }
         self.charge(self.cfg.costs.lru).await;
         stages.cache_update_ns = self.ns_since(t0);
@@ -1185,7 +1217,7 @@ impl HybridStore {
             let scheme = self.cfg.io_policy.scheme_for(chunk_size);
             // Buffer the page (the paper: "an entire slab is buffered and
             // flushed to the SSD").
-            let page_buf = pool.page_data(page).to_vec();
+            let page_buf = pool.page_data(page);
             let mut captured: Vec<(Bytes, u64, u64, u32)> = Vec::new();
             for id in pool.page_chunk_ids(page) {
                 let Some(item) = pool.read_item(id) else {
@@ -1255,7 +1287,7 @@ impl HybridStore {
             let stats = Rc::clone(&self.stats);
             let index = Rc::clone(&self.index);
             let extents = Rc::clone(&self.ssd_extents);
-            let onesided = self.onesided.borrow().clone();
+            let onesided = self.onesided.clone();
             self.sim.spawn(async move {
                 match ssd.write(scheme, base, &buf).await {
                     Ok(()) => {
@@ -1356,8 +1388,8 @@ impl HybridStore {
             }
             drop(index);
             if retargeted {
-                // The value's bytes left registered RAM: remote readers
-                // must stop trusting the arena copy and fall back to RPC.
+                // The item left its chunk: remote readers must fall back
+                // to RPC before the page is reused.
                 self.os_mark_ssd(key);
             }
             self.item_lru.borrow_mut()[class].remove(id);
@@ -1461,13 +1493,13 @@ impl HybridStore {
     /// survive. Call [`recover`](Self::recover) to rebuild the index.
     pub fn crash(&self) {
         let n_classes = self.pool.borrow().num_classes();
-        *self.pool.borrow_mut() = SlabPool::new(SlabConfig::with_mem(self.cfg.mem_bytes));
+        self.pool.borrow_mut().reset();
         *self.index.borrow_mut() = HashTable::new();
         *self.item_lru.borrow_mut() = (0..n_classes).map(|_| LruMap::new()).collect();
         *self.page_lru.borrow_mut() = (0..n_classes).map(|_| LruMap::new()).collect();
         self.inflight_flushes.borrow_mut().clear();
         self.repl_seqs.borrow_mut().clear();
-        if let Some(os) = self.onesided.borrow().as_ref() {
+        if let Some(os) = &self.onesided {
             os.clear();
         }
         self.stats.borrow_mut().crashes += 1;
@@ -1521,7 +1553,11 @@ impl HybridStore {
                     continue;
                 }
                 let stored = (ITEM_HEADER + item.key.len() + item.value.len()) as u32;
-                let class = self.pool.borrow().class_for(stored as usize).unwrap_or(0) as u32;
+                let class = self
+                    .pool
+                    .borrow()
+                    .class_for(self.chunk_need(stored as usize))
+                    .unwrap_or(0) as u32;
                 let version = self.next_version.get();
                 self.next_version.set(version + 1);
                 let meta = ItemMeta {
@@ -1598,14 +1634,17 @@ impl HybridStore {
                 None => return,
             }
         };
+        let version = self.next_version.get();
+        self.next_version.set(version + 1);
         self.pool.borrow_mut().write_item(
             id,
             &item.key,
             &item.value,
             meta.flags,
             meta.expire_at_ns,
+            self.version_word(version),
         );
-        let (expire_at_ns, flags) = {
+        let expire_at_ns = {
             let mut index = self.index.borrow_mut();
             let m = index.get_mut(key).expect("checked current above");
             // The SSD slot is superseded by the promoted RAM copy.
@@ -1615,13 +1654,11 @@ impl HybridStore {
                 self.release_ssd_slot(offset, len);
             }
             m.loc = Location::Ram(id);
-            let v = self.next_version.get();
-            self.next_version.set(v + 1);
-            m.version = v;
-            (m.expire_at_ns, m.flags)
+            m.version = version;
+            m.expire_at_ns
         };
         // Back in registered RAM: republish for one-sided readers.
-        self.os_publish(key, &item.value, flags, expire_at_ns);
+        self.os_publish(key, id, item.value.len(), version, expire_at_ns);
         self.touch_lru(class, id);
         self.stats.borrow_mut().promotes += 1;
     }

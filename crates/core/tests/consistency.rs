@@ -44,7 +44,7 @@ use bytes::Bytes;
 use nbkv_core::cluster::{build_cluster, ChaosConfig, ClusterConfig, CrashEvent};
 use nbkv_core::designs::Design;
 use nbkv_core::proto::OpStatus;
-use nbkv_core::{ReplicationConfig, ResiliencePolicy};
+use nbkv_core::{DirectPolicy, ReplicationConfig, ResiliencePolicy};
 use nbkv_fabric::FaultPlan;
 use nbkv_simrt::Sim;
 
@@ -66,12 +66,23 @@ fn value(ver: u64) -> Bytes {
     Bytes::from(format!("v{ver:08}"))
 }
 
-/// Parse a version back out of a stored value.
+/// Value lengths the direct-read history cycles through by version, so
+/// one key's writes move between slab classes.
+const PADDED_LENS: [usize; 3] = [4 << 10, 16 << 10, 40 << 10];
+
+/// `value(ver)` padded to one of [`PADDED_LENS`].
+fn padded_value(ver: u64) -> Bytes {
+    let mut v = format!("v{ver:08}|").into_bytes();
+    v.resize(PADDED_LENS[ver as usize % PADDED_LENS.len()], b'.');
+    Bytes::from(v)
+}
+
+/// Parse a version back out of a stored value (padding ignored).
 fn parse_ver(v: &[u8]) -> u64 {
     std::str::from_utf8(v)
         .ok()
         .and_then(|s| s.strip_prefix('v'))
-        .and_then(|s| s.parse().ok())
+        .and_then(|s| s.split('|').next()?.parse().ok())
         .expect("value is a harness-encoded version")
 }
 
@@ -111,6 +122,10 @@ struct RunOut {
     /// Replication backlog (queued + unacked ops) across servers at the end.
     lag: u64,
     promotions: u64,
+    /// GETs served by one-sided reads, across clients.
+    direct_hits: u64,
+    /// Slab pages flushed to SSD, across servers.
+    flushed_pages: u64,
     /// Flat counter summary for bit-identical replay comparison.
     counters: String,
 }
@@ -144,6 +159,19 @@ fn run_replicated_history(seed: u64, restart_at: Option<Duration>, drops: bool) 
         ..ChaosConfig::default()
     };
     let cluster = build_cluster(&sim, &cfg);
+    record_history(sim, cluster, false, value)
+}
+
+/// Record a history on `cluster` (clients 1 and 2 read, client 0
+/// writes `value(ver)`): the writer's rounds, the readers' concurrent
+/// reads — `iget` when `nonblocking_reads`, else `get` — and a settled
+/// final read of every key.
+fn record_history(
+    sim: Sim,
+    cluster: nbkv_core::Cluster,
+    nonblocking_reads: bool,
+    value: fn(u64) -> Bytes,
+) -> RunOut {
     let writer = Rc::clone(&cluster.clients[0]);
     let servers: Vec<_> = cluster.servers.iter().map(Rc::clone).collect();
 
@@ -163,7 +191,14 @@ fn run_replicated_history(seed: u64, restart_at: Option<Duration>, drops: bool) 
                 let k = (i * 7 + ri) % KEYS;
                 i += 1;
                 let invoke_ns = s.now().as_nanos();
-                let r = client.get(key(k)).await;
+                let r = if nonblocking_reads {
+                    match client.iget(key(k)).await {
+                        Ok(h) => Ok(h.wait().await),
+                        Err(e) => Err(e),
+                    }
+                } else {
+                    client.get(key(k)).await
+                };
                 let complete_ns = s.now().as_nanos();
                 let ev = match r {
                     Ok(c) => Event {
@@ -279,6 +314,12 @@ fn run_replicated_history(seed: u64, restart_at: Option<Duration>, drops: bool) 
     let lag: u64 = cluster.servers.iter().map(|sv| sv.repl_lag_ops()).sum();
     let cs = cluster.clients[0].stats();
     let promotions: u64 = cluster.clients.iter().map(|c| c.stats().promotions).sum();
+    let direct_hits: u64 = cluster.clients.iter().map(|c| c.stats().direct_hits).sum();
+    let flushed_pages: u64 = cluster
+        .servers
+        .iter()
+        .map(|sv| sv.store().stats().flushed_pages)
+        .sum();
     let mut counters = format!(
         "writer issued={} completed={} timeouts={} retries={} promotions={} replica_reads={}",
         cs.issued, cs.completed, cs.timeouts, cs.retries, cs.promotions, cs.replica_reads
@@ -303,8 +344,25 @@ fn run_replicated_history(seed: u64, restart_at: Option<Duration>, drops: bool) 
         store_finals,
         lag,
         promotions,
+        direct_hits,
+        flushed_pages,
         counters,
     }
+}
+
+/// One server whose 2 MiB of RAM holds a fraction of the data, clients
+/// reading with `iget` under [`DirectPolicy::Always`], and values whose
+/// size changes with every write: overwrites, flushes to SSD and page
+/// reuse by other classes run under the two-read direct GETs.
+fn run_direct_history(seed: u64) -> RunOut {
+    let sim = Sim::new();
+    let mut cfg = ClusterConfig::new(Design::HRdmaOptNonBI, 2 << 20);
+    cfg.clients = 3;
+    cfg.ssd_capacity = 256 << 20;
+    cfg.client.direct = DirectPolicy::Always;
+    cfg.chaos.seed = seed;
+    let cluster = build_cluster(&sim, &cfg);
+    record_history(sim, cluster, true, padded_value)
 }
 
 /// The per-key consistency checker. `check_error_window` is off for runs
@@ -493,4 +551,27 @@ fn histories_replay_bit_identically_per_seed() {
     check_history(&a, false);
     let c = run_replicated_history(0x0A17_5EED, Some(Duration::from_millis(13)), true);
     assert_ne!(a.history, c.history, "seed must matter");
+}
+
+/// Direct reads on a RAM-constrained store: every `iget` history passes
+/// the checker (no crash, so no errors at all), while eviction flushes
+/// pages to SSD and hands them to other classes and the readers are
+/// served one-sided.
+#[test]
+fn direct_iget_histories_hold_under_eviction_and_page_reuse() {
+    let out = run_direct_history(0xD1EC_7EED);
+    assert!(
+        out.events.iter().all(|e| e.ok),
+        "no crash, so no client errors"
+    );
+    check_history(&out, false);
+    assert!(
+        out.direct_hits > 0,
+        "readers must go one-sided: {}",
+        out.counters
+    );
+    assert!(
+        out.flushed_pages > 0,
+        "RAM must be too small to hold the data"
+    );
 }

@@ -6,12 +6,15 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use bytes::Bytes;
+use nbkv_core::client::runtime::ClientStats;
 use nbkv_core::cluster::{build_cluster, ClusterConfig};
 use nbkv_core::designs::Design;
 use nbkv_core::proto::OpStatus;
+use nbkv_core::server::StoreStats;
 use nbkv_core::DirectPolicy;
 use nbkv_fabric::FaultPlan;
 use nbkv_simrt::Sim;
+use proptest::prelude::*;
 
 fn key(i: usize) -> Bytes {
     Bytes::from(format!("key-{i:05}"))
@@ -288,9 +291,9 @@ fn adaptive_switches_to_direct_under_load() {
     });
 }
 
-/// Overwrites invalidate-then-republish: direct reads racing a stream of
+/// Overwrites republish the key's slot: direct reads racing a stream of
 /// SETs to the same key always observe one of the written values, never
-/// a torn mix (end-to-end seqlock check).
+/// a torn mix (end-to-end version-word check).
 #[test]
 fn overwrite_stream_never_tears_direct_reads() {
     let sim = Sim::new();
@@ -353,4 +356,121 @@ fn off_policy_never_reads_one_sided() {
             0
         );
     });
+}
+
+/// Writers driving the store directly while one client serves GETs of
+/// one key with two-read direct GETs. `kind`: 0 overwrites the key, 1
+/// deletes it, 2 fills RAM with other keys so hybrid eviction flushes
+/// pages (the key's among them) to SSD and reuses them for other classes,
+/// 3 sets another key in the key's class (taking its freed chunk).
+/// Returns the client's and the store's counters.
+fn race_direct_gets(writes: &[(u64, u8, u8)], read_gap: u64) -> (ClientStats, StoreStats) {
+    let sim = Sim::new();
+    let mut cfg = direct_cfg(Design::HRdmaOptNonBI, 2 << 20, DirectPolicy::Always);
+    cfg.ssd_capacity = 256 << 20;
+    let cluster = build_cluster(&sim, &cfg);
+    let client = Rc::clone(&cluster.clients[0]);
+    let store = Rc::clone(cluster.servers[0].store());
+    let sizes = [100usize, 1500, 6000];
+    let written: Rc<std::cell::RefCell<Vec<Bytes>>> = Rc::default();
+    let hot = Bytes::from_static(b"hot-key");
+    let value = |seq: usize, len: usize| -> Bytes {
+        let tag = format!("hot-key/{seq}/");
+        Bytes::from(tag.bytes().cycle().take(len).collect::<Vec<u8>>())
+    };
+
+    let done = Rc::new(std::cell::Cell::new(false));
+    let writer = {
+        let (sim, written, hot, writes) = (
+            sim.clone(),
+            Rc::clone(&written),
+            hot.clone(),
+            writes.to_vec(),
+        );
+        let done = Rc::clone(&done);
+        sim.clone().spawn(async move {
+            for (seq, (delay, kind, size)) in writes.into_iter().enumerate() {
+                sim.sleep(Duration::from_nanos(delay)).await;
+                let len = sizes[size as usize % sizes.len()];
+                match kind % 4 {
+                    0 => {
+                        let v = value(seq, len);
+                        written.borrow_mut().push(v.clone());
+                        store.set(hot.clone(), v, seq as u32, 0).await;
+                    }
+                    1 => {
+                        store.delete(&hot).await;
+                    }
+                    2 => {
+                        for i in 0..24 {
+                            let k = Bytes::from(format!("fill-{seq}-{i}"));
+                            store.set(k, Bytes::from(vec![0u8; 32 << 10]), 0, 0).await;
+                        }
+                    }
+                    _ => {
+                        let k = Bytes::from(format!("other-{seq}"));
+                        store.set(k, Bytes::from(vec![0u8; len]), 0, 0).await;
+                    }
+                }
+            }
+            done.set(true);
+        })
+    };
+
+    let s = sim.clone();
+    sim.run_until(async move {
+        while !done.get() {
+            let g = client.get(hot.clone()).await.unwrap();
+            if g.status == OpStatus::Hit {
+                let v = g.value.unwrap();
+                assert!(
+                    written.borrow().contains(&v),
+                    "GET returned bytes no SET wrote to the key: {:?}",
+                    &v[..v.len().min(24)]
+                );
+            }
+            s.sleep(Duration::from_nanos(read_gap)).await;
+        }
+        writer.await;
+    });
+    let stats = (
+        cluster.clients[0].stats(),
+        cluster.servers[0].store().stats(),
+    );
+    sim.shutdown();
+    stats
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every hit a direct GET returns was written to that key, whatever
+    /// overwrites, deletes, SSD flushes and page reuse interleave with
+    /// its two reads; nothing panics.
+    #[test]
+    fn direct_gets_racing_flush_and_page_reuse_return_only_the_keys_values(
+        writes in prop::collection::vec((0u64..6_000, 0u8..4, 0u8..3), 1..20),
+        read_gap in 1u64..4_000,
+    ) {
+        race_direct_gets(&writes, read_gap);
+    }
+}
+
+/// The property above on one fixed schedule, checking that it exercises
+/// what it claims to: direct hits, SSD fallbacks and page flushes.
+#[test]
+fn racing_schedule_exercises_hits_flushes_and_fallbacks() {
+    let writes: Vec<(u64, u8, u8)> = (0..24u64)
+        .map(|i| {
+            (
+                i * 397 % 3_000,
+                [0, 0, 3, 2, 0, 1][i as usize % 6],
+                (i % 3) as u8,
+            )
+        })
+        .collect();
+    let (client, store) = race_direct_gets(&writes, 700);
+    assert!(client.direct_hits > 0, "{client:?}");
+    assert!(client.ssd_fallbacks > 0, "{client:?}");
+    assert!(store.flushed_pages > 0, "{store:?}");
 }

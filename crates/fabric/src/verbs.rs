@@ -157,7 +157,7 @@ impl RemoteWindow {
     /// Panics on out-of-bounds spans; see [`RemoteWindow::try_peek`] for
     /// the checked variant.
     pub fn peek(&self, offset: usize, len: usize) -> Bytes {
-        Bytes::copy_from_slice(&self.mem.borrow()[offset..offset + len])
+        self.read_with(offset, len, Bytes::copy_from_slice)
     }
 
     /// Local (owner-side) write into the window.
@@ -165,7 +165,7 @@ impl RemoteWindow {
     /// Panics on out-of-bounds spans; see [`RemoteWindow::try_poke`] for
     /// the checked variant.
     pub fn poke(&self, offset: usize, data: &[u8]) {
-        self.mem.borrow_mut()[offset..offset + data.len()].copy_from_slice(data);
+        self.write_with(offset, data.len(), |dst| dst.copy_from_slice(data));
     }
 
     fn check(&self, offset: usize, len: usize) -> Result<(), WindowOutOfBounds> {
@@ -180,18 +180,28 @@ impl RemoteWindow {
         }
     }
 
+    /// Owner-side in-place read: runs `f` over `[offset, offset + len)`
+    /// without copying. Panics on out-of-bounds spans.
+    pub fn read_with<R>(&self, offset: usize, len: usize, f: impl FnOnce(&[u8]) -> R) -> R {
+        f(&self.mem.borrow()[offset..offset + len])
+    }
+
+    /// Owner-side in-place write: runs `f` over `[offset, offset + len)`.
+    /// Panics on out-of-bounds spans.
+    pub fn write_with<R>(&self, offset: usize, len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
+        f(&mut self.mem.borrow_mut()[offset..offset + len])
+    }
+
     /// Checked read of the window contents.
     pub fn try_peek(&self, offset: usize, len: usize) -> Result<Bytes, WindowOutOfBounds> {
         self.check(offset, len)?;
-        Ok(Bytes::copy_from_slice(
-            &self.mem.borrow()[offset..offset + len],
-        ))
+        Ok(self.peek(offset, len))
     }
 
     /// Checked write into the window.
     pub fn try_poke(&self, offset: usize, data: &[u8]) -> Result<(), WindowOutOfBounds> {
         self.check(offset, data.len())?;
-        self.mem.borrow_mut()[offset..offset + data.len()].copy_from_slice(data);
+        self.poke(offset, data);
         Ok(())
     }
 }
@@ -380,7 +390,9 @@ impl QueuePair {
 
     /// One-sided RDMA READ: fetch `len` bytes from `remote_offset` in the
     /// peer's window. The completion carries the data after a full round
-    /// trip (request propagation + data transfer back).
+    /// trip (request propagation + data transfer back). A span outside the
+    /// window (say, from a stale descriptor) completes with `data: None`,
+    /// as a NIC reports a remote access error, instead of panicking.
     pub fn post_rdma_read(
         &self,
         wr_id: u64,
@@ -404,12 +416,12 @@ impl QueuePair {
             self.sim.now() + model.propagation() + model.serialization(len) + model.propagation();
         let cq = self.send_cq.clone();
         self.sim.schedule_at(done_at, move |sim| {
-            let data = window.peek(remote_offset, len);
+            let data = window.try_peek(remote_offset, len).ok();
             cq.push(WorkCompletion {
                 wr_id,
                 opcode: WcOpcode::RdmaRead,
                 byte_len: len,
-                data: Some(data),
+                data,
                 completed_at: sim.now(),
             });
         });
@@ -582,6 +594,26 @@ mod one_sided_tests {
             assert_eq!(wcs.len(), 1);
             assert_eq!(wcs[0].opcode, WcOpcode::RdmaRead);
             assert_eq!(&wcs[0].data.as_ref().unwrap()[..], b"server-resident-value");
+        });
+    }
+
+    #[test]
+    fn out_of_window_rdma_read_completes_without_data() {
+        let sim = Sim::new();
+        let sim2 = sim.clone();
+        sim.run_until(async move {
+            let (qp_a, _qp_b) = QueuePair::connect(&sim2, model());
+            qp_a.bind_peer_window(RemoteWindow::new(64));
+            qp_a.post_rdma_read(1, 60, 8).unwrap(); // straddles the end
+            qp_a.post_rdma_read(2, usize::MAX, 2).unwrap(); // offset+len overflows
+            qp_a.post_rdma_read(3, 0, 8).unwrap();
+            sim2.sleep(Duration::from_micros(100)).await;
+            let wcs = qp_a.send_cq().poll(4);
+            assert_eq!(wcs.len(), 3, "every read completes");
+            for wc in &wcs {
+                assert_eq!(wc.opcode, WcOpcode::RdmaRead);
+                assert_eq!(wc.data.is_some(), wc.wr_id == 3, "wr {}", wc.wr_id);
+            }
         });
     }
 

@@ -42,6 +42,15 @@ if [[ ! -d "$GOLDEN" ]]; then
 fi
 
 echo "==> diffing against $GOLDEN"
+# Per-file verdict first, so the files that moved stand out before the
+# raw diff.
+(cd "$GOLDEN" && find . -type f; cd "$OUT" && find . -type f) | sort -u | while read -r f; do
+    if diff -q -I '"git_describe"' "$GOLDEN/$f" "$OUT/$f" >/dev/null 2>&1; then
+        echo "    identical  ${f#./}"
+    else
+        echo "    drifted    ${f#./}"
+    fi
+done
 if diff -ru -I '"git_describe"' "$GOLDEN" "$OUT"; then
     echo "==> OK: no drift"
 else
