@@ -32,8 +32,8 @@ fn small_exp(mix: OpMix, direct: DirectPolicy, data: u64, value_len: usize) -> L
 }
 
 /// Exact latencies and direct-path counters per mix/policy, including an
-/// eviction shape that forces SSD fallbacks through the window's
-/// `in_ram` bit.
+/// eviction shape whose flushed keys read as stale (their pages are
+/// zeroed) and fall back to RPC GETs served from SSD.
 fn regress_onesided(m: &mut Manifest) -> Table {
     let mut t = Table::new(
         "regress_onesided",

@@ -3,9 +3,10 @@
 //! [`DirectReadEngine`] serves GETs with two chained one-sided RDMA
 //! reads against the server's registered slab window — the key's
 //! descriptor bucket, then the item chunk a slot points at — and accepts
-//! the item only if its version word, its lengths and its full key match.
-//! Anything else falls back to the two-sided RPC path (no slot, a chunk
-//! rewritten or reused since the slot was read, an SSD-resident value, or
+//! the item only if [`Descriptor::accept`] passes and its full key
+//! matches. Slots are hints the server never invalidates: anything else
+//! falls back to the two-sided RPC path (no slot; a chunk freed, flushed
+//! to SSD, touched with a TTL, or reused since its slot was published; or
 //! a lost completion under fault injection).
 //!
 //! [`DirectPolicy::Adaptive`] implements an RFP-style switch: the engine
@@ -30,7 +31,7 @@ use nbkv_simrt::Sim;
 use crate::client::runtime::ClientStats;
 use crate::proto::LeaseGeometry;
 use crate::server::onesided::{key_fingerprint, Descriptor, BUCKET_LEN};
-use crate::server::slab::{parse_versioned_item, ITEM_HEADER, VERSION_WORD};
+use crate::server::slab::{ITEM_HEADER, VERSION_WORD};
 
 /// When the client serves GETs with one-sided RDMA reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -55,13 +56,12 @@ pub(crate) enum DirectOutcome {
         /// The item's user flags from its header.
         flags: u32,
     },
-    /// The chunk no longer holds what the descriptor advertised (rewritten,
-    /// freed and reused, or out of the window).
+    /// The chunk no longer holds what the descriptor advertised (the key
+    /// was deleted, evicted, flushed to SSD, given a TTL or rewritten, or
+    /// the offset lies outside the window).
     Stale,
     /// No slot in the bucket advertises the key; only RPC can answer.
     Miss,
-    /// The key's value is SSD-resident; one-sided reads cannot reach it.
-    Ssd,
     /// A read completion never arrived (fault injection / dead link).
     Lost,
 }
@@ -222,11 +222,15 @@ impl DirectReadEngine {
         let cell = match outcome {
             DirectOutcome::Hit { .. } => &self.direct_hits,
             DirectOutcome::Stale => &self.stale_retries,
-            DirectOutcome::Ssd => &self.ssd_fallbacks,
             DirectOutcome::Lost => &self.direct_lost,
             DirectOutcome::Miss => return,
         };
         cell.set(cell.get() + 1);
+    }
+
+    /// A GET that fell back from a direct read was answered from SSD.
+    pub(crate) fn note_ssd_fallback(&self) {
+        self.ssd_fallbacks.set(self.ssd_fallbacks.get() + 1);
     }
 
     /// Add this engine's counters to `st`.
@@ -287,30 +291,19 @@ impl DirectReadEngine {
         let Some(desc) = found else {
             return Ok(DirectOutcome::Miss);
         };
-        if !desc.in_ram {
-            return Ok(DirectOutcome::Ssd);
-        }
 
         // Read 2: the item chunk — header, key, value, version word.
-        let (klen, vlen) = (key.len(), desc.len as usize);
-        let item = self
-            .fetch(
-                desc.offset as usize,
-                ITEM_HEADER + klen + vlen + VERSION_WORD,
-            )
+        let image = self
+            .fetch(desc.offset as usize, desc.image_len(key.len()))
             .await?;
-        // Validate, in order: the version word the slot advertised, the
-        // lengths, then the full key (so a fingerprint collision cannot
-        // return another key's value).
-        match parse_versioned_item(&item) {
-            Some(item)
-                if item.version == desc.version && item.value.len() == vlen && item.key == key =>
-            {
-                Ok(DirectOutcome::Hit {
-                    value: item.value,
-                    flags: item.flags,
-                })
-            }
+        // The chunk must still hold the slot's item, then the full key
+        // must match (so a fingerprint collision cannot return another
+        // key's value).
+        match desc.accept(&image) {
+            Some(item) if item.key == key => Ok(DirectOutcome::Hit {
+                value: item.value,
+                flags: item.flags,
+            }),
             _ => Ok(DirectOutcome::Stale),
         }
     }
@@ -329,7 +322,8 @@ mod tests {
 
     /// The server side of a store, cut down to what the one-sided path
     /// sees: a 16 MiB slab pool, its descriptor table, and each key's live
-    /// chunk. Freed chunks are reused last-in first-out, as in the store.
+    /// chunk. Freed chunks are reused last-in first-out, as in the store,
+    /// and, as in the store, nothing but a write touches the table.
     struct Server {
         pool: RefCell<SlabPool>,
         idx: OneSidedIndex,
@@ -364,20 +358,18 @@ mod tests {
             }
         }
 
-        /// Delete `key`: invalidate, then free its chunk.
-        fn delete(&self, key: &[u8]) {
-            self.idx.invalidate(key);
+        /// Delete `key`, evict it or flush it to SSD: either way its
+        /// chunk is freed.
+        fn remove(&self, key: &[u8]) {
             if let Some(id) = self.live.borrow_mut().remove(key) {
                 self.pool.borrow_mut().free_chunk(id);
             }
         }
 
-        /// Flush `key` to SSD: mark its slot, then free its chunk.
-        fn flush(&self, key: &[u8]) {
-            self.idx.mark_ssd(key);
-            if let Some(id) = self.live.borrow_mut().remove(key) {
-                self.pool.borrow_mut().free_chunk(id);
-            }
+        /// Give `key` a TTL, as `touch` does: in the chunk header only.
+        fn touch(&self, key: &[u8], expire_at_ns: u64) {
+            let id = self.live.borrow()[key];
+            self.pool.borrow_mut().set_expiry(id, expire_at_ns);
         }
     }
 
@@ -433,21 +425,24 @@ mod tests {
         });
     }
 
+    /// A key never published misses on the bucket alone. A removed key
+    /// keeps its slot, a hint now, and fails on the freed chunk's zeroed
+    /// lengths; a key given a TTL fails on its header expiry.
     #[test]
-    fn absent_invalidated_and_ssd_keys_report_their_outcome() {
+    fn absent_keys_miss_and_dead_chunks_are_stale() {
         let (sim, server, engine, _qp) = rig(DirectPolicy::Always);
         server.put(b"gone", b"x", 0);
-        server.delete(b"gone");
-        server.put(b"cold", b"y", 0);
-        server.flush(b"cold");
+        server.remove(b"gone");
+        server.put(b"ttl", b"y", 0);
+        server.touch(b"ttl", 1);
         sim.run_until(async move {
             assert!(matches!(engine.read(b"never").await, DirectOutcome::Miss));
-            assert!(matches!(engine.read(b"gone").await, DirectOutcome::Miss));
-            assert!(matches!(engine.read(b"cold").await, DirectOutcome::Ssd));
+            assert!(matches!(engine.read(b"gone").await, DirectOutcome::Stale));
+            assert!(matches!(engine.read(b"ttl").await, DirectOutcome::Stale));
             assert_eq!(
                 counters(&engine).direct_reads,
-                3,
-                "no item read without a RAM slot"
+                5,
+                "no item read without a slot"
             );
         });
     }
@@ -501,7 +496,7 @@ mod tests {
         let (sim, server, engine, _qp) = rig(DirectPolicy::Always);
         server.put(b"k", b"old", 0);
         let (off, old) = slot_of(&server, b"k");
-        server.delete(b"k");
+        server.remove(b"k");
         server.put(b"k", b"new", 0); // reuses the freed chunk
         let (_, new) = slot_of(&server, b"k");
         assert_eq!((new.offset, new.len), (old.offset, old.len));
@@ -583,15 +578,15 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Writers racing direct reads — overwrites, deletes, flushes, and
-        /// other keys reusing the freed chunks — never produce a value the
+        /// Writers racing direct reads — overwrites, removals, and other
+        /// keys reusing the freed chunks — never produce a value the
         /// reader did not ask for: every accepted hit is a value written
         /// to "k" exactly as read (uniform fill byte, matching length,
         /// matching flags).
         #[test]
         fn racing_writers_never_yield_torn_values(
             writes in prop::collection::vec(
-                (0u64..4_000, 1usize..200, 0u8..4),
+                (0u64..4_000, 1usize..200, 0u8..3),
                 1..24,
             ),
             read_gap in 1u64..3_000,
@@ -608,8 +603,7 @@ mod tests {
                         let fill = (i + 1) as u8;
                         match kind {
                             0 => writer.put(b"k", &vec![fill; len], fill as u32),
-                            1 => writer.delete(b"k"),
-                            2 => writer.flush(b"k"),
+                            1 => writer.remove(b"k"),
                             // Another key takes the freed chunk.
                             _ => writer.put(b"x", &vec![0; len], 0),
                         }

@@ -170,10 +170,13 @@ pub struct ClientStats {
     pub flush_on_doorbell: u64,
     /// GETs served entirely by one-sided RDMA reads (server CPU bypassed).
     pub direct_hits: u64,
-    /// Direct reads that found the item chunk rewritten or reused since
-    /// its descriptor was read, and fell back to RPC.
+    /// Direct reads whose slot pointed at a chunk that no longer holds
+    /// the advertised item, and fell back to RPC. Slots are hints, so a
+    /// key deleted, evicted, flushed to SSD, given a TTL or rewritten
+    /// since its slot was published reads as stale.
     pub stale_retries: u64,
-    /// Direct reads that found the value SSD-resident and fell back.
+    /// Direct reads that fell back to RPC and were answered from SSD
+    /// (`served_from == Ssd` in the response).
     pub ssd_fallbacks: u64,
     /// Direct reads whose completion never arrived (fault injection or a
     /// dead link) before falling back.
@@ -1147,16 +1150,20 @@ impl ProgressTask {
             self.reqs.land(resp);
             return;
         };
-        direct.observe_queue_depth(resp.stages().queue_depth);
+        let stages = resp.stages();
+        direct.observe_queue_depth(stages.queue_depth);
         let is_get = matches!(resp, Response::Get { .. });
         // Feed the adaptive policy's RPC-latency EWMA. Fallback completions
         // are excluded: their latency includes the failed direct attempt
-        // and would bias the signal.
+        // and would bias the signal. They count as SSD fallbacks when the
+        // server answered from SSD.
         if let Some(state) = self.reqs.land(resp).filter(|_| is_get) {
             let s = state.borrow();
             if !s.direct_fallback {
                 let latency = sim.now().saturating_since(s.issued_at).as_nanos() as u64;
                 direct.observe_rpc_latency(latency);
+            } else if stages.served_from == ServedFrom::Ssd {
+                direct.note_ssd_fallback();
             }
         }
     }

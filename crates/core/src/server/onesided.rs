@@ -13,36 +13,37 @@
 //! ```
 //!
 //! A **slot** (24 B) names one published item: its version word, a 32-bit
-//! key fingerprint, the chunk's window offset, the value length and an
-//! in-RAM bit. A store with an index appends a [`VERSION_WORD`] after
-//! every item's value in its chunk. A remote reader chains two RDMA reads
-//! — the whole bucket, then the item chunk — and accepts the item only if
-//! its version word equals the slot's, its lengths match the slot and the
-//! key, and the full key stored in the item equals the key it asked for.
-//! A fingerprint collision, a chunk freed and reused by another key or
-//! class, or a page flushed to SSD therefore never yields another key's
-//! bytes: everything that fails validation falls back to RPC.
+//! key fingerprint, the chunk's window offset and the value length. A
+//! store with an index appends a [`VERSION_WORD`] after every item's value
+//! in its chunk. A remote reader chains two RDMA reads — the whole
+//! bucket, then the item chunk — and returns the item only if
+//! [`Descriptor::accept`] passes and the full key stored in the item
+//! equals the key it asked for.
+//!
+//! **Slots are hints.** The store only ever publishes; it never
+//! invalidates a slot. Coherence comes from the slab rule that a chunk
+//! holding no live item never parses (see [`crate::server::slab`]): after
+//! a delete, an eviction or a flush to SSD the chunk's lengths are zero,
+//! and a reused chunk carries another version word. A stale slot costs its
+//! reader one fallback to RPC and can never yield a wrong value.
 //!
 //! The table is sized from the slab budget: one slot per KiB of pages
 //! ([`SLOT_BUDGET_BYTES`]), rounded up to a power-of-two bucket count. A
-//! publish into a full bucket takes an SSD-marked slot if there is one,
-//! and is otherwise skipped (the key stays RPC-only).
-//!
-//! The store keeps slots coherent: a set or promotion publishes, delete,
-//! expiry, eviction and data loss invalidate, and a flush to SSD clears
-//! the in-RAM bit (fingerprint kept, so clients count SSD fallbacks apart
-//! from misses).
+//! publish into a full bucket takes a slot whose chunk no longer passes
+//! [`Descriptor::accept`], and is otherwise skipped (the key stays
+//! RPC-only).
 //!
 //! [`VERSION_WORD`]: crate::server::slab::VERSION_WORD
 
 use std::cell::Cell;
 
+use bytes::Bytes;
 use nbkv_fabric::RemoteWindow;
 
 use crate::proto::LeaseGeometry;
+use crate::server::slab::{parse_versioned_item, VersionedItem, ITEM_HEADER, VERSION_WORD};
 
-/// Bytes per slot: version(8) fingerprint(4) offset/8(4) len(4) in_ram(1)
-/// pad(3).
+/// Bytes per slot: version(8) fingerprint(4) offset/8(4) len(4) pad(4).
 pub const SLOT_LEN: usize = 24;
 
 /// Slots per bucket; a client fetches a whole bucket with one RDMA read.
@@ -97,9 +98,6 @@ pub struct Descriptor {
     pub offset: u64,
     /// Published value length.
     pub len: u32,
-    /// True while the item is in its slab chunk; cleared when a flush
-    /// moves it to SSD.
-    pub in_ram: bool,
 }
 
 impl Descriptor {
@@ -110,7 +108,6 @@ impl Descriptor {
         b[8..12].copy_from_slice(&self.fingerprint.to_be_bytes());
         b[12..16].copy_from_slice(&((self.offset / 8) as u32).to_be_bytes());
         b[16..20].copy_from_slice(&self.len.to_be_bytes());
-        b[20] = self.in_ram as u8;
         b
     }
 
@@ -123,13 +120,32 @@ impl Descriptor {
             fingerprint: u32_at(8),
             offset: u32_at(12) as u64 * 8,
             len: u32_at(16),
-            in_ram: buf[20] == 1,
         })
     }
 
     /// True if the slot is in use and advertises the key fingerprint `fp`.
     pub fn advertises(&self, fp: u64) -> bool {
         self.version != 0 && self.fingerprint == slot_fingerprint(fp)
+    }
+
+    /// Bytes a reader fetches at [`offset`](Self::offset) for a key of
+    /// `key_len` bytes: header, key, value, version word.
+    pub fn image_len(&self, key_len: usize) -> usize {
+        ITEM_HEADER + key_len + self.len as usize + VERSION_WORD
+    }
+
+    /// The item in `image`, the bytes read at this slot's chunk, if the
+    /// chunk still holds what the slot advertises: exactly one item and
+    /// its version word, this slot's version and value length, and no
+    /// expiry (a remote reader cannot check a TTL). A freed chunk fails on
+    /// its zeroed lengths, a reused one on the version word. Readers and
+    /// the publisher share this test; a reader also compares the key.
+    pub fn accept(&self, image: &Bytes) -> Option<VersionedItem> {
+        parse_versioned_item(image).filter(|item| {
+            item.version == self.version
+                && item.value.len() == self.len as usize
+                && item.expire_at_ns == 0
+        })
     }
 }
 
@@ -138,11 +154,8 @@ impl Descriptor {
 pub struct OneSidedStats {
     /// Items (re)published.
     pub published: u64,
-    /// Slots invalidated (delete, expiry, eviction, data loss, crash).
-    pub invalidated: u64,
-    /// Slots demoted to SSD-resident (in-RAM bit cleared).
-    pub marked_ssd: u64,
-    /// Publishes skipped because the key's bucket was full.
+    /// Publishes skipped because every slot of the key's bucket still
+    /// advertises a chunk that passes [`Descriptor::accept`].
     pub overflowed: u64,
 }
 
@@ -152,8 +165,6 @@ pub struct OneSidedIndex {
     table_offset: usize,
     buckets: usize,
     published: Cell<u64>,
-    invalidated: Cell<u64>,
-    marked_ssd: Cell<u64>,
     overflowed: Cell<u64>,
 }
 
@@ -172,8 +183,6 @@ impl OneSidedIndex {
             table_offset,
             buckets,
             published: Cell::new(0),
-            invalidated: Cell::new(0),
-            marked_ssd: Cell::new(0),
             overflowed: Cell::new(0),
         }
     }
@@ -197,8 +206,6 @@ impl OneSidedIndex {
     pub fn stats(&self) -> OneSidedStats {
         OneSidedStats {
             published: self.published.get(),
-            invalidated: self.invalidated.get(),
-            marked_ssd: self.marked_ssd.get(),
             overflowed: self.overflowed.get(),
         }
     }
@@ -222,16 +229,31 @@ impl OneSidedIndex {
             .poke(bucket_off + slot * SLOT_LEN, &desc.encode());
     }
 
+    /// True if `desc`'s chunk still holds the item it advertises, judged
+    /// as a remote reader would (the key it holds stands in for the key
+    /// asked for).
+    fn validates(&self, desc: &Descriptor) -> bool {
+        let off = desc.offset as usize;
+        let Ok(head) = self.window.try_peek(off, 4) else {
+            return false;
+        };
+        let key_len = u32::from_be_bytes(head[..].try_into().expect("4 bytes")) as usize;
+        self.window
+            .try_peek(off, desc.image_len(key_len))
+            .is_ok_and(|image| desc.accept(&image).is_some())
+    }
+
     /// Publish `key`'s item: the chunk at window `offset` holds it with a
     /// `value_len`-byte value and the version word `version`. Reuses the
-    /// key's slot, else an empty one, else an SSD-marked one.
+    /// key's slot, else an empty one, else one whose chunk no longer
+    /// validates.
     pub fn publish(&self, key: &[u8], offset: usize, value_len: usize, version: u64) {
         debug_assert!(version != 0, "version 0 marks an empty slot");
         let fp = key_fingerprint(key);
         let (off, slots, owned) = self.lookup(fp);
         let slot = owned
             .or_else(|| slots.iter().position(|d| d.version == 0))
-            .or_else(|| slots.iter().position(|d| !d.in_ram));
+            .or_else(|| slots.iter().position(|d| !self.validates(d)));
         let Some(slot) = slot else {
             self.overflowed.set(self.overflowed.get() + 1);
             return;
@@ -241,55 +263,23 @@ impl OneSidedIndex {
             fingerprint: slot_fingerprint(fp),
             offset: offset as u64,
             len: value_len as u32,
-            in_ram: true,
         };
         self.write_slot(off, slot, &desc);
         self.published.set(self.published.get() + 1);
     }
 
-    /// Empty `key`'s slot, if it has one (delete, expiry, eviction, data
-    /// loss, or an overwrite that cannot be published).
-    pub fn invalidate(&self, key: &[u8]) {
-        if let (off, _, Some(slot)) = self.lookup(key_fingerprint(key)) {
-            self.write_slot(off, slot, &Descriptor::default());
-            self.invalidated.set(self.invalidated.get() + 1);
-        }
-    }
-
-    /// The item moved to SSD: its chunk is no longer its home, but the key
-    /// is still served by RPC. Clearing only the in-RAM bit (fingerprint
-    /// kept) lets clients account SSD fallbacks separately.
-    pub fn mark_ssd(&self, key: &[u8]) {
-        if let (off, slots, Some(slot)) = self.lookup(key_fingerprint(key)) {
-            if slots[slot].in_ram {
-                let desc = Descriptor {
-                    in_ram: false,
-                    ..slots[slot]
-                };
-                self.write_slot(off, slot, &desc);
-                self.marked_ssd.set(self.marked_ssd.get() + 1);
-            }
-        }
-    }
-
-    /// Empty every slot (server crash: RAM contents are gone, and remote
-    /// readers must stop trusting the table).
+    /// Empty every slot (server crash: remote readers must stop trusting
+    /// the table).
     pub fn clear(&self) {
-        let len = self.buckets * BUCKET_LEN;
-        let used = self.window.read_with(self.table_offset, len, |t| {
-            t.chunks_exact(SLOT_LEN)
-                .filter(|raw| raw.iter().any(|&b| b != 0))
-                .count()
-        });
         self.window
-            .write_with(self.table_offset, len, |t| t.fill(0));
-        self.invalidated.set(self.invalidated.get() + used as u64);
+            .write_with(self.table_offset, self.buckets * BUCKET_LEN, |t| t.fill(0));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::slab::write_item_bytes;
 
     /// A table over 64 KiB of "pages": 64 slots in 8 buckets.
     fn idx() -> OneSidedIndex {
@@ -297,9 +287,31 @@ mod tests {
         OneSidedIndex::new(RemoteWindow::new(pages + table_bytes(pages)), pages)
     }
 
+    /// Write `key`'s item with version word `version` into the chunk at
+    /// `offset`, then publish it, as the store does.
+    fn put(idx: &OneSidedIndex, key: &[u8], offset: usize, value: &[u8], version: u64) {
+        let len = ITEM_HEADER + key.len() + value.len();
+        idx.window.write_with(offset, len + VERSION_WORD, |dst| {
+            write_item_bytes(dst, key, value, 0, 0);
+            dst[len..].copy_from_slice(&version.to_be_bytes());
+        });
+        idx.publish(key, offset, value.len(), version);
+    }
+
+    /// Free the chunk at `offset` the way the slab pool does.
+    fn free(idx: &OneSidedIndex, offset: usize) {
+        idx.window.poke(offset, &[0; 8]);
+    }
+
     fn slot_of(idx: &OneSidedIndex, key: &[u8]) -> Option<Descriptor> {
         let (_, slots, owned) = idx.lookup(key_fingerprint(key));
         owned.map(|s| slots[s])
+    }
+
+    /// What a reader of `key` would fetch at its slot.
+    fn image(idx: &OneSidedIndex, key: &[u8]) -> Bytes {
+        let d = slot_of(idx, key).expect("published");
+        idx.window.peek(d.offset as usize, d.image_len(key.len()))
     }
 
     #[test]
@@ -313,15 +325,14 @@ mod tests {
     #[test]
     fn publish_points_at_the_chunk() {
         let idx = idx();
-        idx.publish(b"k1", 4096, 5, 42);
+        put(&idx, b"k1", 4096, b"hello", 42);
         let d = slot_of(&idx, b"k1").expect("published");
         assert_eq!(d.version, 42);
         assert_eq!(d.offset, 4096);
         assert_eq!(d.len, 5);
-        assert!(d.in_ram);
         assert_eq!(idx.stats().published, 1);
         // Republishing reuses the key's slot.
-        idx.publish(b"k1", 8192, 7, 43);
+        put(&idx, b"k1", 8192, b"goodbye", 43);
         let d = slot_of(&idx, b"k1").unwrap();
         assert_eq!((d.version, d.offset, d.len), (43, 8192, 7));
         let (_, slots, _) = idx.lookup(key_fingerprint(b"k1"));
@@ -333,33 +344,40 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_empties_only_the_keys_slot() {
+    fn accept_takes_only_the_live_unexpired_item_of_the_slots_version() {
         let idx = idx();
-        idx.publish(b"k1", 0, 1, 1);
-        idx.publish(b"k2", 8, 1, 2);
-        idx.invalidate(b"some-other-key-entirely");
-        assert_eq!(idx.stats().invalidated, 0);
-        idx.invalidate(b"k1");
-        assert!(slot_of(&idx, b"k1").is_none());
-        assert!(slot_of(&idx, b"k2").is_some());
-        assert_eq!(idx.stats().invalidated, 1);
+        put(&idx, b"k", 256, b"value", 7);
+        let d = slot_of(&idx, b"k").unwrap();
+        let item = d.accept(&image(&idx, b"k")).expect("live item");
+        assert_eq!((&item.key[..], &item.value[..]), (&b"k"[..], &b"value"[..]));
+        // Another version or value length: the slot is not this item's.
+        let other = Descriptor { version: 8, ..d };
+        assert!(other.accept(&image(&idx, b"k")).is_none());
+        let short = Descriptor { len: 4, ..d };
+        assert!(short
+            .accept(&idx.window.peek(256, short.image_len(1)))
+            .is_none());
+        // A TTL in the header: remote readers cannot check it.
+        idx.window.poke(256 + 12, &1u64.to_be_bytes());
+        assert!(d.accept(&image(&idx, b"k")).is_none());
+        idx.window.poke(256 + 12, &0u64.to_be_bytes());
+        // Freed: the zeroed lengths no longer parse.
+        free(&idx, 256);
+        assert!(d.accept(&image(&idx, b"k")).is_none());
     }
 
     #[test]
-    fn mark_ssd_keeps_fingerprint_clears_in_ram() {
+    fn a_freed_empty_item_never_validates() {
         let idx = idx();
-        idx.publish(b"k1", 0, 1, 9);
-        idx.mark_ssd(b"k1");
-        let d = slot_of(&idx, b"k1").unwrap();
-        assert!(!d.in_ram);
-        assert_eq!(d.version, 9);
-        assert_eq!(idx.stats().marked_ssd, 1);
-        idx.mark_ssd(b"k1");
-        assert_eq!(idx.stats().marked_ssd, 1, "idempotent");
+        // Key and value empty: the lengths are already zero, so only the
+        // zero-key-length rule tells a freed chunk from a live one.
+        put(&idx, b"", 512, b"", 3);
+        let d = slot_of(&idx, b"").unwrap();
+        assert!(d.accept(&image(&idx, b"")).is_none());
     }
 
     #[test]
-    fn full_buckets_reuse_ssd_slots_then_overflow() {
+    fn full_buckets_reclaim_dead_slots_then_overflow() {
         let idx = idx();
         // Keys that all land in bucket 0.
         let keys: Vec<Vec<u8>> = (0u32..)
@@ -368,27 +386,31 @@ mod tests {
             .take(BUCKET_SLOTS + 1)
             .collect();
         for (i, k) in keys[..BUCKET_SLOTS].iter().enumerate() {
-            idx.publish(k, i * 8, 1, i as u64 + 1);
+            put(&idx, k, i * 256, b"v", i as u64 + 1);
         }
         let extra = &keys[BUCKET_SLOTS];
-        idx.publish(extra, 800, 1, 100);
-        assert_eq!(idx.stats().overflowed, 1);
+        put(&idx, extra, 4096, b"v", 100);
+        assert_eq!(idx.stats().overflowed, 1, "every slot still validates");
         assert!(slot_of(&idx, extra).is_none());
-        idx.mark_ssd(&keys[3]);
-        idx.publish(extra, 800, 1, 101);
+        // keys[3] is deleted (or flushed, or evicted): its chunk is freed.
+        free(&idx, 3 * 256);
+        put(&idx, extra, 4096, b"v", 101);
         assert_eq!(slot_of(&idx, extra).unwrap().version, 101);
-        assert!(slot_of(&idx, &keys[3]).is_none(), "SSD slot was taken");
+        assert!(slot_of(&idx, &keys[3]).is_none(), "the dead slot was taken");
+        for k in keys[..BUCKET_SLOTS].iter().filter(|k| *k != &keys[3]) {
+            assert!(slot_of(&idx, k).is_some(), "live slots are kept");
+        }
+        assert_eq!(idx.stats().overflowed, 1);
     }
 
     #[test]
     fn clear_empties_every_slot() {
         let idx = idx();
-        idx.publish(b"a", 0, 1, 1);
-        idx.publish(b"b", 8, 1, 2);
+        put(&idx, b"a", 0, b"1", 1);
+        put(&idx, b"b", 256, b"2", 2);
         idx.clear();
         assert!(slot_of(&idx, b"a").is_none());
         assert!(slot_of(&idx, b"b").is_none());
-        assert_eq!(idx.stats().invalidated, 2);
     }
 
     #[test]
@@ -419,7 +441,6 @@ mod tests {
             fingerprint: 0xdead_beef,
             offset: 1 << 30,
             len: 32 << 10,
-            in_ram: true,
         };
         assert_eq!(Descriptor::decode(&d.encode()), Some(d));
         assert_eq!(Descriptor::decode(&[0u8; SLOT_LEN - 1]), None);

@@ -11,6 +11,14 @@
 //! table follows the last page (see [`crate::server::onesided`]). The
 //! window is allocated zeroed up front, so budget no item has touched
 //! stays non-resident.
+//!
+//! **A chunk that holds no live item never parses.** [`SlabPool::free_chunk`]
+//! zeroes the chunk's two header length words, and
+//! [`SlabPool::release_page`] and [`SlabPool::reset`] zero whole pages. A
+//! zero key length is never an item (see [`parse_versioned_item`]; the
+//! crash-recovery scan skips such chunks too), so neither a remote reader
+//! holding a stale descriptor nor the recovery scan of a flushed page can
+//! resurrect a freed item. This rule alone keeps one-sided reads coherent.
 
 use bytes::Bytes;
 use nbkv_fabric::RemoteWindow;
@@ -113,23 +121,28 @@ pub struct VersionedItem {
     pub value: Bytes,
     /// Client flags.
     pub flags: u32,
+    /// Expiration from the header (virtual ns since sim start; 0 = never).
+    pub expire_at_ns: u64,
     /// The version word after the value.
     pub version: u64,
 }
 
 /// Parse `src` as exactly one item followed by its version word; `None`
-/// if the header's lengths do not account for every byte.
+/// if the header's lengths do not account for every byte, or if the key
+/// length is zero (a freed chunk).
 pub fn parse_versioned_item(src: &Bytes) -> Option<VersionedItem> {
     let u32_at = |i: usize| Some(u32::from_be_bytes(src.get(i..i + 4)?.try_into().ok()?));
-    let key_end = ITEM_HEADER + u32_at(0)? as usize;
+    let key_len = u32_at(0)? as usize;
+    let key_end = ITEM_HEADER + key_len;
     let value_end = key_end + u32_at(4)? as usize;
-    if src.len() != value_end + VERSION_WORD {
+    if key_len == 0 || src.len() != value_end + VERSION_WORD {
         return None;
     }
     Some(VersionedItem {
         key: src.slice(ITEM_HEADER..key_end),
         value: src.slice(key_end..value_end),
         flags: u32_at(8)?,
+        expire_at_ns: u64::from_be_bytes(src[12..ITEM_HEADER].try_into().ok()?),
         version: u64::from_be_bytes(src[value_end..].try_into().ok()?),
     })
 }
@@ -217,12 +230,17 @@ impl SlabPool {
     }
 
     /// Forget every page and item (a crash), keeping the registered window
-    /// itself: remote peers stay bound to it.
+    /// itself: remote peers stay bound to it. The pages are zeroed, as RAM
+    /// contents do not survive a crash: a chunk carved after the restart
+    /// must not parse before it is written, or a later flush would carry
+    /// a pre-crash item to SSD.
     pub fn reset(&mut self) {
         for c in &mut self.classes {
             c.free.clear();
             c.pages.clear();
         }
+        let used = self.pages.len() * self.cfg.page_size;
+        self.window.write_with(0, used, |pages| pages.fill(0));
         self.pages.clear();
         self.free_pages.clear();
     }
@@ -367,9 +385,18 @@ impl SlabPool {
         })
     }
 
-    /// Release a chunk. On a flushing page the chunk is not returned to the
+    /// Rewrite the expiry in the header of the item at `id`.
+    pub fn set_expiry(&mut self, id: u64, expire_at_ns: u64) {
+        let (off, _) = self.chunk_span(id).expect("allocated chunk");
+        self.window.poke(off + 12, &expire_at_ns.to_be_bytes());
+    }
+
+    /// Release a chunk, zeroing its header length words so it never
+    /// parses again. On a flushing page the chunk is not returned to the
     /// free list (the whole page is about to be released).
     pub fn free_chunk(&mut self, id: u64) {
+        let (off, _) = self.chunk_span(id).expect("allocated chunk");
+        self.window.poke(off, &[0; 8]);
         let (page, _) = unpack_item_id(id);
         let p = &mut self.pages[page as usize];
         debug_assert!(p.live > 0);
@@ -425,7 +452,8 @@ impl SlabPool {
         self.pages[page as usize].live
     }
 
-    /// Return a flushing (or emptied) page to the free pool.
+    /// Return a flushing (or emptied) page to the free pool, zeroed: no
+    /// chunk on it holds a live item any more.
     pub fn release_page(&mut self, page: u32) {
         let class = {
             let p = &mut self.pages[page as usize];
@@ -434,6 +462,9 @@ impl SlabPool {
             p.live = 0;
             p.class
         };
+        let size = self.cfg.page_size;
+        self.window
+            .write_with(page as usize * size, size, |p| p.fill(0));
         self.classes[class].pages.retain(|&x| x != page);
         // Withdraw any leftover free chunks (non-flushing path).
         self.classes[class]
@@ -536,6 +567,37 @@ mod tests {
         let mut long = raw.to_vec();
         long.push(0);
         assert!(parse_versioned_item(&Bytes::from(long)).is_none());
+    }
+
+    #[test]
+    fn dead_chunks_never_parse() {
+        let mut pool = pool_1mb();
+        let need = SlabPool::item_len(3, 5) + VERSION_WORD;
+        let class = pool.class_for(need).unwrap();
+        let (a, b) = (
+            pool.try_alloc(class).unwrap(),
+            pool.try_alloc(class).unwrap(),
+        );
+        for id in [a, b] {
+            pool.write_item(id, b"key", b"value", 0, 0, Some(9));
+        }
+        let image = |pool: &SlabPool, id| pool.window().peek(pool.chunk_offset(id), need);
+        pool.set_expiry(a, 77);
+        assert_eq!(pool.read_item(a).unwrap().expire_at_ns, 77);
+        assert_eq!(
+            parse_versioned_item(&image(&pool, a)).unwrap().expire_at_ns,
+            77
+        );
+        // A freed chunk's lengths are zero: no item, for either parser.
+        pool.free_chunk(a);
+        assert!(parse_versioned_item(&image(&pool, a)).is_none());
+        assert!(pool.read_item(a).unwrap().key.is_empty());
+        // A released page is zeroed whole.
+        let (page, _) = crate::util::unpack_item_id(b);
+        pool.begin_flush(page);
+        pool.free_chunk(b);
+        pool.release_page(page);
+        assert!(pool.page_data(page).iter().all(|&x| x == 0));
     }
 
     #[test]

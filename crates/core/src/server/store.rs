@@ -373,8 +373,9 @@ pub struct HybridStore {
     /// enabled replication.
     repl_hook: RefCell<Option<ReplHook>>,
     /// One-sided descriptor table over the pool's window, if the server
-    /// publishes one. Every mutation that changes where (or whether) a
-    /// value lives must keep it coherent via the hooks below.
+    /// publishes one. Its slots are hints: every RAM write publishes (see
+    /// `os_publish`), and the slab pool's rule that a dead chunk never
+    /// parses is what keeps remote readers coherent.
     onesided: Option<Rc<OneSidedIndex>>,
 }
 
@@ -453,27 +454,8 @@ impl HybridStore {
     /// version word `version`). Items with an expiry are never published:
     /// a remote reader cannot check TTLs, so they stay RPC-only.
     fn os_publish(&self, key: &[u8], id: u64, value_len: usize, version: u64, expire_at_ns: u64) {
-        if let Some(idx) = &self.onesided {
-            if expire_at_ns == 0 {
-                idx.publish(key, self.pool.borrow().chunk_offset(id), value_len, version);
-            } else {
-                idx.invalidate(key);
-            }
-        }
-    }
-
-    /// Invalidate `key`'s descriptor (delete, expiry, eviction, data loss).
-    fn os_invalidate(&self, key: &[u8]) {
-        if let Some(idx) = &self.onesided {
-            idx.invalidate(key);
-        }
-    }
-
-    /// Clear `key`'s in-RAM bit: the item left its chunk for SSD, but the
-    /// key still serves over RPC.
-    fn os_mark_ssd(&self, key: &[u8]) {
-        if let Some(idx) = &self.onesided {
-            idx.mark_ssd(key);
+        if let (Some(idx), 0) = (&self.onesided, expire_at_ns) {
+            idx.publish(key, self.pool.borrow().chunk_offset(id), value_len, version);
         }
     }
 
@@ -790,10 +772,12 @@ impl HybridStore {
         }
         if let Some(meta) = self.index.borrow_mut().get_mut(key) {
             meta.expire_at_ns = expire_at_ns;
-        }
-        if expire_at_ns != 0 {
-            // Remote readers cannot check a TTL.
-            self.os_invalidate(key);
+            // The chunk header carries the expiry too: a page flushed to
+            // SSD keeps the TTL through crash recovery, and remote readers
+            // refuse an item whose header has one.
+            if let Location::Ram(id) = meta.loc {
+                self.pool.borrow_mut().set_expiry(id, expire_at_ns);
+            }
         }
         self.charge(self.cfg.costs.lru).await;
         stages.cache_update_ns = self.ns_since(t0);
@@ -1113,7 +1097,6 @@ impl HybridStore {
         match removed {
             Some(meta) => {
                 self.release_meta(&meta);
-                self.os_invalidate(key);
                 true
             }
             None => false,
@@ -1139,7 +1122,6 @@ impl HybridStore {
         if let Some(id) = victim_id {
             if let Some(key) = self.pool.borrow().read_item(id).map(|i| i.key) {
                 self.index.borrow_mut().remove(&key);
-                self.os_invalidate(&key);
             }
             self.pool.borrow_mut().free_chunk(id);
             self.stats.borrow_mut().evicted_items += 1;
@@ -1178,7 +1160,6 @@ impl HybridStore {
                 .is_some_and(|m| m.loc == Location::Ram(id));
             if is_live {
                 self.index.borrow_mut().remove(&key);
-                self.os_invalidate(&key);
                 self.item_lru.borrow_mut()[class].remove(&id);
                 self.stats.borrow_mut().evicted_items += 1;
             }
@@ -1249,7 +1230,6 @@ impl HybridStore {
                     .is_some_and(|m| m.version == version);
                 if still_live {
                     self.index.borrow_mut().remove(&key);
-                    self.os_invalidate(&key);
                 }
                 self.item_lru.borrow_mut()[class].remove(&id);
                 self.stats.borrow_mut().ssd_full_drops += 1;
@@ -1287,7 +1267,6 @@ impl HybridStore {
             let stats = Rc::clone(&self.stats);
             let index = Rc::clone(&self.index);
             let extents = Rc::clone(&self.ssd_extents);
-            let onesided = self.onesided.clone();
             self.sim.spawn(async move {
                 match ssd.write(scheme, base, &buf).await {
                     Ok(()) => {
@@ -1312,9 +1291,6 @@ impl HybridStore {
                             for (key, version, _, _) in &captured {
                                 if idx.get(key).is_some_and(|m| m.version == *version) {
                                     idx.remove(key);
-                                    if let Some(os) = onesided.as_ref() {
-                                        os.invalidate(key);
-                                    }
                                     dropped += 1;
                                 }
                             }
@@ -1336,7 +1312,6 @@ impl HybridStore {
             self.stats.borrow_mut().flush_errors += 1;
             for (key, _, id, _) in captured {
                 self.index.borrow_mut().remove(&key);
-                self.os_invalidate(&key);
                 self.item_lru.borrow_mut()[class].remove(&id);
                 self.stats.borrow_mut().ssd_full_drops += 1;
             }
@@ -1373,9 +1348,7 @@ impl HybridStore {
         for (key, version, id, stored) in captured {
             let (_, chunk) = unpack_item_id(*id);
             let offset = base + chunk as u64 * chunk_size as u64;
-            let mut index = self.index.borrow_mut();
-            let mut retargeted = false;
-            if let Some(meta) = index.get_mut(key) {
+            if let Some(meta) = self.index.borrow_mut().get_mut(key) {
                 if meta.version == *version {
                     meta.loc = Location::Ssd {
                         scheme,
@@ -1383,14 +1356,7 @@ impl HybridStore {
                         len: *stored,
                     };
                     live += 1;
-                    retargeted = true;
                 }
-            }
-            drop(index);
-            if retargeted {
-                // The item left its chunk: remote readers must fall back
-                // to RPC before the page is reused.
-                self.os_mark_ssd(key);
             }
             self.item_lru.borrow_mut()[class].remove(id);
         }
@@ -1547,7 +1513,7 @@ impl HybridStore {
                     continue;
                 };
                 if item.key.is_empty() {
-                    continue; // zeroed / never-written chunk
+                    continue; // a freed or never-written chunk (zero key length)
                 }
                 if item.expire_at_ns != 0 && now_ns >= item.expire_at_ns {
                     continue;
@@ -1667,12 +1633,19 @@ impl HybridStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::onesided::{DirectOutcome, DirectPolicy, DirectReadEngine};
     use nbkv_storesim::{instant_device, sata_ssd, HostModel, SlabIoConfig, SsdDevice};
     use std::time::Duration;
 
     fn make_store(sim: &Sim, mut cfg: StoreConfig, instant: bool) -> Rc<HybridStore> {
         cfg.costs = CpuCosts::zero();
-        let ssd = if cfg.kind == StoreKind::Hybrid {
+        let ssd = test_ssd(sim, &cfg, instant);
+        HybridStore::new(sim, cfg, ssd)
+    }
+
+    /// The SSD a store of `cfg`'s kind needs, if any.
+    fn test_ssd(sim: &Sim, cfg: &StoreConfig, instant: bool) -> Option<Rc<SlabIo>> {
+        if cfg.kind == StoreKind::Hybrid {
             let dev_profile = if instant {
                 instant_device()
             } else {
@@ -1687,8 +1660,7 @@ mod tests {
             Some(SlabIo::new(sim, dev, SlabIoConfig::default_for_tests(host)))
         } else {
             None
-        };
-        HybridStore::new(sim, cfg, ssd)
+        }
     }
 
     fn key(i: usize) -> Bytes {
@@ -2211,6 +2183,162 @@ mod tests {
                 "{st:?}"
             );
             assert_eq!(st.ssd_full_drops, 0);
+        });
+    }
+
+    /// Items of `len` bytes under [`key`] that fill one slab page.
+    fn per_page(store: &HybridStore, len: usize) -> usize {
+        let pool = store.pool.borrow();
+        let class = pool
+            .class_for(SlabPool::item_len(key(0).len(), len))
+            .unwrap();
+        pool.config().page_size / pool.chunk_size(class)
+    }
+
+    /// Fill the only 1 MiB page with 32 KiB items, run `between`, then set
+    /// a 100 B item so the page flushes to SSD, crash, wait `down` and
+    /// recover. Returns the report and a GET of each 32 KiB item's key.
+    fn flush_crash_recover(
+        between: impl AsyncFnOnce(&HybridStore) + 'static,
+        down: Duration,
+    ) -> (RecoveryReport, Vec<OpOutcome>) {
+        let sim = Sim::new();
+        let sim2 = sim.clone();
+        let store = make_store(&sim, StoreConfig::hybrid(1 << 20, 64 << 20), true);
+        sim.run_until(async move {
+            let n = per_page(&store, 32 << 10);
+            for i in 0..n {
+                store.set(key(i), val(i, 32 << 10), 0, 0).await;
+            }
+            between(&store).await;
+            assert_eq!(store.stats().flushed_pages, 0);
+            store.set(key(n), val(n, 100), 0, 0).await;
+            assert_eq!(store.stats().flushed_pages, 1);
+            store.crash();
+            sim2.sleep(down).await;
+            let report = store.recover().await;
+            let mut gets = Vec::new();
+            for i in 0..n {
+                gets.push(store.get(&key(i)).await);
+            }
+            (report, gets)
+        })
+    }
+
+    /// A key deleted while its page is in RAM stays deleted when the page
+    /// is flushed and the store recovers from SSD after a crash: the freed
+    /// chunk's zeroed lengths never parse.
+    #[test]
+    fn deleted_keys_stay_deleted_through_flush_and_recovery() {
+        let (report, gets) = flush_crash_recover(
+            async |store| {
+                store.delete(&key(3)).await;
+            },
+            Duration::ZERO,
+        );
+        assert_eq!(report.items_recovered, gets.len() as u64 - 1);
+        for (i, g) in gets.iter().enumerate() {
+            if i == 3 {
+                assert_eq!(g.status, OpStatus::Miss, "deleted key came back");
+            } else {
+                assert_eq!(g.status, OpStatus::Hit, "key {i}");
+                assert_eq!(g.value.as_ref(), Some(&val(i, 32 << 10)));
+            }
+        }
+    }
+
+    /// `touch` writes the expiry into the chunk header, so the TTL it set
+    /// travels with the page to SSD and survives crash recovery.
+    #[test]
+    fn touched_ttl_survives_flush_and_recovery() {
+        let (report, gets) = flush_crash_recover(
+            async |store| {
+                let expire_at = (store.sim.now() + Duration::from_millis(1)).as_nanos();
+                assert_eq!(
+                    store.touch(&key(3), expire_at).await.status,
+                    OpStatus::Stored
+                );
+            },
+            Duration::from_millis(5),
+        );
+        assert_eq!(report.items_recovered, gets.len() as u64 - 1);
+        assert_eq!(gets[3].status, OpStatus::Miss, "the TTL was lost");
+        assert!(gets
+            .iter()
+            .enumerate()
+            .all(|(i, g)| i == 3 || g.status == OpStatus::Hit));
+    }
+
+    /// A one-sided reader bound to `store`'s window, as a client's is.
+    fn direct_reader(sim: &Sim, store: &HybridStore) -> DirectReadEngine {
+        let idx = store.onesided().expect("store publishes a table");
+        let profile = nbkv_fabric::profiles::fdr_rdma();
+        let (qp, _peer) = nbkv_fabric::QueuePair::connect(sim, profile.link);
+        qp.bind_peer_window(idx.window());
+        let engine = DirectReadEngine::new(
+            sim.clone(),
+            Rc::new(qp),
+            DirectPolicy::Always,
+            &profile,
+            Duration::from_micros(1),
+            None,
+        );
+        engine.install_lease(idx.lease());
+        engine
+    }
+
+    /// Once a delete, a flush to SSD, a memory-only eviction or a `touch`
+    /// that sets a TTL has completed, a direct read of the key never
+    /// returns a value. The store leaves the key's slot in place; the dead
+    /// chunk, or the TTL in its header, fails validation.
+    #[test]
+    fn direct_reads_return_nothing_once_a_key_leaves_ram() {
+        let sim = Sim::new();
+        let onesided_store = |mut cfg: StoreConfig| {
+            cfg.costs = CpuCosts::zero();
+            let ssd = test_ssd(&sim, &cfg, true);
+            HybridStore::with_onesided(&sim, cfg, ssd)
+        };
+        let hybrid = onesided_store(StoreConfig::hybrid(1 << 20, 64 << 20));
+        let mem_only = onesided_store(StoreConfig::memory_only(1 << 20));
+        let (h, m) = (direct_reader(&sim, &hybrid), direct_reader(&sim, &mem_only));
+        let sim2 = sim.clone();
+        sim.run_until(async move {
+            async fn hits(engine: &DirectReadEngine, k: &Bytes) -> bool {
+                matches!(engine.read(k).await, DirectOutcome::Hit { .. })
+            }
+            // Delete.
+            hybrid.set(key(0), val(0, 100), 0, 0).await;
+            assert!(hits(&h, &key(0)).await, "published");
+            hybrid.delete(&key(0)).await;
+            assert!(!hits(&h, &key(0)).await, "deleted");
+            // TTL touch: the key stays live over RPC.
+            hybrid.set(key(1), val(1, 100), 0, 0).await;
+            assert!(hits(&h, &key(1)).await, "published");
+            let expire_at = (sim2.now() + Duration::from_secs(1)).as_nanos();
+            hybrid.touch(&key(1), expire_at).await;
+            assert!(!hits(&h, &key(1)).await, "touched with a TTL");
+            assert_eq!(hybrid.get(&key(1)).await.status, OpStatus::Hit);
+            // The keys below sit behind 300 small fillers, so the 32 KiB
+            // item that takes over their page does not overwrite them.
+            for i in 100..400 {
+                hybrid.set(key(i), val(i, 100), 0, 0).await;
+                mem_only.set(key(i), val(i, 100), 0, 0).await;
+            }
+            // Flush to SSD: a 32 KiB item needs the only page.
+            hybrid.set(key(2), val(2, 100), 0, 0).await;
+            assert!(hits(&h, &key(2)).await, "published");
+            hybrid.set(key(3), val(3, 32 << 10), 0, 0).await;
+            assert_eq!(hybrid.stats().flushed_pages, 1);
+            assert!(!hits(&h, &key(2)).await, "flushed to SSD");
+            let g = hybrid.get(&key(2)).await;
+            assert_eq!(g.stages.served_from, ServedFrom::Ssd);
+            // Memory-only eviction: the 32 KiB item steals the only page.
+            mem_only.set(key(4), val(4, 100), 0, 0).await;
+            assert!(hits(&m, &key(4)).await, "published");
+            mem_only.set(key(5), val(5, 32 << 10), 0, 0).await;
+            assert_eq!(mem_only.get(&key(4)).await.status, OpStatus::Miss);
+            assert!(!hits(&m, &key(4)).await, "evicted");
         });
     }
 }

@@ -1,6 +1,6 @@
 //! Integration tests of the server-bypass one-sided GET path: the window
-//! lease handshake, direct reads through a cluster, SSD/eviction
-//! invalidation, chaos fallback, and the adaptive RPC/direct switch.
+//! lease handshake, direct reads through a cluster, fallback for keys
+//! evicted to SSD, chaos fallback, and the adaptive RPC/direct switch.
 
 use std::rc::Rc;
 use std::time::Duration;
@@ -103,9 +103,10 @@ fn direct_miss_falls_back_to_rpc() {
     });
 }
 
-/// Slab eviction to SSD invalidates the in-RAM bit: direct readers fall
-/// back to RPC (which serves from SSD) and count the fallback — stale RAM
-/// offsets are never returned.
+/// Slab eviction to SSD zeroes the flushed page, so a direct read of an
+/// evicted key fails validation and falls back to RPC, which serves it
+/// from SSD and counts the SSD fallback: stale RAM offsets are never
+/// returned.
 #[test]
 fn evicted_keys_fall_back_to_rpc_and_stay_correct() {
     let sim = Sim::new();
@@ -140,7 +141,7 @@ fn evicted_keys_fall_back_to_rpc_and_stay_correct() {
         assert!(stats.direct_hits > 0, "some keys stay resident: {stats:?}");
         assert!(
             stats.ssd_fallbacks > 0,
-            "evicted keys detected by the in-RAM bit: {stats:?}"
+            "evicted keys fall back and are served from SSD: {stats:?}"
         );
     });
 }

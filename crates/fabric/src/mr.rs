@@ -10,8 +10,8 @@
 //! [`MrCache`] charges the registration cost (in virtual time) the first
 //! time a buffer region is seen and is free on subsequent hits.
 //!
-//! Region identity is a *content fingerprint* (length + FNV-1a of the
-//! bytes) rather than the raw address: real registration caches key on
+//! Region identity is a *content fingerprint* (length + a word-wise hash
+//! of the bytes) rather than the raw address: real registration caches key on
 //! address ranges, but addresses are allocator state and would make
 //! otherwise-identical simulations diverge. A reused buffer hits the
 //! cache either way; the fingerprint keeps runs bit-reproducible.
@@ -25,13 +25,23 @@ use nbkv_simrt::Sim;
 
 use crate::profiles::FabricProfile;
 
+/// Content hash of a registered buffer: a multiply-rotate over 8-byte
+/// words (the tail zero-padded), seeded with the length. Each word step
+/// is a bijection of the running state, so buffers of one length that
+/// differ in a single word never collide.
 fn fingerprint(buf: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET ^ (buf.len() as u64).wrapping_mul(PRIME);
-    for &b in buf {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mix = |h: u64, w: u64| (h ^ w).wrapping_mul(K).rotate_left(29);
+    let mut words = buf.chunks_exact(8);
+    let mut h = (buf.len() as u64).wrapping_mul(K);
+    for w in &mut words {
+        h = mix(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = mix(h, u64::from_le_bytes(last));
     }
     h
 }
@@ -131,6 +141,29 @@ impl MrCache {
 mod tests {
     use super::*;
     use crate::profiles::fdr_rdma;
+    use std::collections::HashSet;
+
+    /// Buffers that differ from a base in one byte, at every position and
+    /// with several byte values, or that are prefixes of one buffer (they
+    /// differ in length only): no two fingerprints collide.
+    #[test]
+    fn fingerprint_separates_one_byte_and_length_only_differences() {
+        let base: Vec<u8> = (0..1027u32).map(|i| (i * 31 % 251) as u8).collect();
+        let mut seen = HashSet::from([fingerprint(&base)]);
+        for pos in 0..base.len() {
+            for delta in [1u8, 0x80, 0xff] {
+                let mut b = base.clone();
+                b[pos] ^= delta;
+                assert!(seen.insert(fingerprint(&b)), "byte {pos} ^ {delta:#x}");
+            }
+        }
+        for content in [base.clone(), vec![0u8; base.len()]] {
+            let prefixes: HashSet<u64> = (0..=content.len())
+                .map(|n| fingerprint(&content[..n]))
+                .collect();
+            assert_eq!(prefixes.len(), content.len() + 1, "length-only collision");
+        }
+    }
 
     #[test]
     fn first_registration_charges_miss() {

@@ -42,21 +42,32 @@ if [[ ! -d "$GOLDEN" ]]; then
 fi
 
 echo "==> diffing against $GOLDEN"
-# Per-file verdict first, so the files that moved stand out before the
-# raw diff.
-(cd "$GOLDEN" && find . -type f; cd "$OUT" && find . -type f) | sort -u | while read -r f; do
+# Per-file verdict first, so the files that moved stand out; then, for
+# each drifted file, which values moved (section, name, golden -> current).
+drifted=()
+while read -r f; do
     if diff -q -I '"git_describe"' "$GOLDEN/$f" "$OUT/$f" >/dev/null 2>&1; then
         echo "    identical  ${f#./}"
     else
         echo "    drifted    ${f#./}"
+        drifted+=("$f")
+    fi
+done < <( (cd "$GOLDEN" && find . -type f; cd "$OUT" && find . -type f) | sort -u)
+if [[ ${#drifted[@]} -eq 0 ]]; then
+    echo "==> OK: no drift"
+    exit 0
+fi
+for f in "${drifted[@]}"; do
+    echo "==> ${f#./}: values that moved"
+    if [[ -f "$GOLDEN/$f" && -f "$OUT/$f" ]]; then
+        python3 scripts/golden_diff.py "$GOLDEN/$f" "$OUT/$f"
+    else
+        echo "    only in $([[ -f "$GOLDEN/$f" ]] && echo golden || echo current)"
     fi
 done
-if diff -ru -I '"git_describe"' "$GOLDEN" "$OUT"; then
-    echo "==> OK: no drift"
-else
-    echo "" >&2
-    echo "error: regression outputs drifted from the committed goldens." >&2
-    echo "If the change is intentional, re-bless and commit:" >&2
-    echo "    scripts/regress.sh --bless && git add results/golden" >&2
-    exit 1
-fi
+echo "" >&2
+echo "error: regression outputs drifted from the committed goldens." >&2
+echo "If the change is intentional, re-bless (then 'git diff results/golden'" >&2
+echo "shows the raw diff) and commit:" >&2
+echo "    scripts/regress.sh --bless && git add results/golden" >&2
+exit 1
